@@ -8,7 +8,7 @@ use swans_core::sweep::{property_sweep, splitting_sweep, SweepSeries};
 use swans_core::{cstore_profile, Layout, RdfStore, StoreConfig};
 use swans_plan::queries::{build_plan, QueryContext, QueryId, Scheme};
 use swans_rdf::stats::{cfd, DatasetStats};
-use swans_rdf::{Dataset, SortOrder};
+use swans_rdf::Dataset;
 
 use crate::{paper, ratio, render_table, restrict_to_properties, secs, HarnessConfig};
 
@@ -366,14 +366,10 @@ pub fn fig5(cfg: &HarnessConfig, ds: &Dataset) -> String {
 
 /// The six main store configurations of Tables 6/7.
 pub fn matrix_configs(machine: swans_storage::MachineProfile) -> Vec<StoreConfig> {
-    vec![
-        StoreConfig::row(Layout::TripleStore(SortOrder::Spo)).on_machine(machine),
-        StoreConfig::row(Layout::TripleStore(SortOrder::Pso)).on_machine(machine),
-        StoreConfig::row(Layout::VerticallyPartitioned).on_machine(machine),
-        StoreConfig::column(Layout::TripleStore(SortOrder::Spo)).on_machine(machine),
-        StoreConfig::column(Layout::TripleStore(SortOrder::Pso)).on_machine(machine),
-        StoreConfig::column(Layout::VerticallyPartitioned).on_machine(machine),
-    ]
+    StoreConfig::paper_matrix()
+        .into_iter()
+        .map(|c| c.on_machine(machine))
+        .collect()
 }
 
 /// Runs the full cold+hot matrix once and renders both tables.

@@ -1,8 +1,9 @@
 //! # swans-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper (run
-//! `cargo run -p swans-bench --release --bin <target>`), plus criterion
-//! micro-benchmarks (`cargo bench -p swans-bench`).
+//! The paper-table harness: one binary per table/figure of the paper
+//! (run `cargo run -p swans-bench --release --bin <target>`). Performance
+//! of the system itself is measured by the repo's benchmark (`benchmark/`,
+//! declared in `BENCHMARK.json`), not here.
 //!
 //! | target | regenerates |
 //! |---|---|
@@ -18,29 +19,13 @@
 //! | `fig6`   | Figure 6 — execution time vs number of properties |
 //! | `fig7`   | Figure 7 — splitting scalability experiment |
 //! | `all_experiments` | everything above, writing EXPERIMENTS.md |
-//! | `bench_pr2` | sorted-vs-hash A/B trajectory (`BENCH_PR2.json`) |
-//! | `bench_updates` | update cost per engine × layout (write path) |
-//! | `bench_pr4` | morsel-parallel scaling curve (`BENCH_PR4.json`) |
-//! | `bench_pr5` | compressed-execution A/B (`BENCH_PR5.json`) |
-//! | `bench_pr7` | durability: recovery time + WAL/snapshot sizes (`BENCH_PR7.json`) |
-//! | `bench_serve` | concurrent serving over HTTP: throughput/latency vs clients (`BENCH_PR8.json`) |
-//! | `bench_pr9` | plan quality: heuristic vs cost-based enumeration + q-error (`BENCH_PR9.json`) |
-//! | `bench_pr10` | overload governance: goodput/p99/shed rate at 1×/2×/4× load (`BENCH_PR10.json`) |
 //!
 //! Environment knobs: `SWANS_SCALE` (fraction of the 50.3M-triple Barton
 //! data set to synthesize, default 0.02), `SWANS_REPEATS` (averaging, the
 //! paper uses 3; default 3), `SWANS_SEED`.
 
-pub mod compressed;
-pub mod durability;
 pub mod experiments;
-pub mod governance;
 pub mod paper;
-pub mod parallel;
-pub mod planquality;
-pub mod serving;
-pub mod sorted;
-pub mod updates;
 
 use swans_datagen::{generate, BartonConfig};
 use swans_rdf::Dataset;

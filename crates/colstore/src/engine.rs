@@ -7,9 +7,7 @@
 //! order-exploiting kernel when the derivation allows — merge joins,
 //! run-based aggregation, linear distinct, binary-search selection, and
 //! run-header resolution on RLE-compressed lead columns. Every dispatch
-//! decision is counted in [`ExecStatsSnapshot`]; [`ColumnEngine::set_sorted_paths`]
-//! turns the whole layer off for A/B comparison (the hash baseline the
-//! benchmark trajectory records).
+//! decision is counted in [`ExecStatsSnapshot`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -19,8 +17,8 @@ use swans_storage::{SegmentId, StorageManager};
 
 use swans_plan::algebra::{leapfrog_fold, CmpOp, Plan};
 use swans_plan::exec::{EngineError, QueryBudget};
-use swans_plan::optimize::{optimize_cbo, reorder_joins};
-use swans_plan::props::{derive as derive_props, PhysProps, PropsContext};
+use swans_plan::optimize::optimize_cbo;
+use swans_plan::props::{derive as derive_props, PropsContext};
 use swans_plan::stats::{PropStats, StatsCatalog, TripleStats};
 
 use std::sync::{Arc, Mutex};
@@ -30,86 +28,121 @@ use crate::column::Column;
 use crate::ops::{self, RunsView};
 use crate::parallel::{aligned_bounds, morsel_range, partitions, WorkerPool};
 
-/// Kernel-dispatch counters (cumulative since load or the last
-/// [`ColumnEngine::reset_exec_stats`]).
-#[derive(Debug, Default)]
-struct ExecStats {
-    merge_joins: AtomicU64,
-    hash_joins: AtomicU64,
-    leapfrog_dispatches: AtomicU64,
-    sorted_group_counts: AtomicU64,
-    hash_group_counts: AtomicU64,
-    sorted_distincts: AtomicU64,
-    sort_distincts: AtomicU64,
-    distinct_passthroughs: AtomicU64,
-    sorted_selects: AtomicU64,
-    rle_selects: AtomicU64,
-    sorted_in_selects: AtomicU64,
-    delta_union_scans: AtomicU64,
-    merges: AtomicU64,
-    parallel_tasks: AtomicU64,
-    morsels: AtomicU64,
-    run_scans: AtomicU64,
-    run_kernel_dispatches: AtomicU64,
-    runs_expanded: AtomicU64,
-    scan_bytes_compressed: AtomicU64,
-    scan_bytes_logical: AtomicU64,
-    cancelled_queries: AtomicU64,
-    peak_mem_bytes: AtomicU64,
+/// Declares the kernel-dispatch counters once. Every counter is an atomic
+/// cell in `ExecStats` (cumulative since load or the last
+/// [`ColumnEngine::reset_exec_stats`]), a field of the public
+/// [`ExecStatsSnapshot`], and a `(name, value)` entry of
+/// [`ExecStatsSnapshot::named`] — all generated from the one list below,
+/// in declaration order.
+macro_rules! exec_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        #[derive(Debug, Default)]
+        struct ExecStats {
+            $($name: AtomicU64,)*
+        }
+
+        impl ExecStats {
+            fn snapshot(&self) -> ExecStatsSnapshot {
+                ExecStatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+
+            fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)*
+            }
+        }
+
+        /// A point-in-time copy of the dispatch counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ExecStatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ExecStatsSnapshot {
+            /// Every counter as a `(field name, value)` pair, in
+            /// declaration order — the form `Engine::stat_counters`
+            /// reports per session.
+            pub fn named(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+        }
+    };
 }
 
-impl ExecStats {
-    fn snapshot(&self) -> ExecStatsSnapshot {
-        ExecStatsSnapshot {
-            merge_joins: self.merge_joins.load(Ordering::Relaxed),
-            hash_joins: self.hash_joins.load(Ordering::Relaxed),
-            leapfrog_dispatches: self.leapfrog_dispatches.load(Ordering::Relaxed),
-            sorted_group_counts: self.sorted_group_counts.load(Ordering::Relaxed),
-            hash_group_counts: self.hash_group_counts.load(Ordering::Relaxed),
-            sorted_distincts: self.sorted_distincts.load(Ordering::Relaxed),
-            sort_distincts: self.sort_distincts.load(Ordering::Relaxed),
-            distinct_passthroughs: self.distinct_passthroughs.load(Ordering::Relaxed),
-            sorted_selects: self.sorted_selects.load(Ordering::Relaxed),
-            rle_selects: self.rle_selects.load(Ordering::Relaxed),
-            sorted_in_selects: self.sorted_in_selects.load(Ordering::Relaxed),
-            delta_union_scans: self.delta_union_scans.load(Ordering::Relaxed),
-            merges: self.merges.load(Ordering::Relaxed),
-            parallel_tasks: self.parallel_tasks.load(Ordering::Relaxed),
-            morsels: self.morsels.load(Ordering::Relaxed),
-            run_scans: self.run_scans.load(Ordering::Relaxed),
-            run_kernel_dispatches: self.run_kernel_dispatches.load(Ordering::Relaxed),
-            runs_expanded: self.runs_expanded.load(Ordering::Relaxed),
-            scan_bytes_compressed: self.scan_bytes_compressed.load(Ordering::Relaxed),
-            scan_bytes_logical: self.scan_bytes_logical.load(Ordering::Relaxed),
-            cancelled_queries: self.cancelled_queries.load(Ordering::Relaxed),
-            peak_mem_bytes: self.peak_mem_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.merge_joins.store(0, Ordering::Relaxed);
-        self.hash_joins.store(0, Ordering::Relaxed);
-        self.leapfrog_dispatches.store(0, Ordering::Relaxed);
-        self.sorted_group_counts.store(0, Ordering::Relaxed);
-        self.hash_group_counts.store(0, Ordering::Relaxed);
-        self.sorted_distincts.store(0, Ordering::Relaxed);
-        self.sort_distincts.store(0, Ordering::Relaxed);
-        self.distinct_passthroughs.store(0, Ordering::Relaxed);
-        self.sorted_selects.store(0, Ordering::Relaxed);
-        self.rle_selects.store(0, Ordering::Relaxed);
-        self.sorted_in_selects.store(0, Ordering::Relaxed);
-        self.delta_union_scans.store(0, Ordering::Relaxed);
-        self.merges.store(0, Ordering::Relaxed);
-        self.parallel_tasks.store(0, Ordering::Relaxed);
-        self.morsels.store(0, Ordering::Relaxed);
-        self.run_scans.store(0, Ordering::Relaxed);
-        self.run_kernel_dispatches.store(0, Ordering::Relaxed);
-        self.runs_expanded.store(0, Ordering::Relaxed);
-        self.scan_bytes_compressed.store(0, Ordering::Relaxed);
-        self.scan_bytes_logical.store(0, Ordering::Relaxed);
-        self.cancelled_queries.store(0, Ordering::Relaxed);
-        self.peak_mem_bytes.store(0, Ordering::Relaxed);
-    }
+exec_counters! {
+    /// Joins executed by [`ops::merge_join`] (both inputs derived-sorted).
+    merge_joins,
+    /// Joins executed by [`ops::hash_join`].
+    hash_joins,
+    /// Multi-way star joins executed by the [`ops::leapfrog_join`]
+    /// kernel (every input derived-sorted on its key column). A
+    /// leapfrog node whose inputs lost their order falls back to the
+    /// binary-join fold, counting under `merge_joins`/`hash_joins`
+    /// instead.
+    leapfrog_dispatches,
+    /// Group-counts executed by the run-based sorted kernels.
+    sorted_group_counts,
+    /// Group-counts executed by the hash kernels (incl. the generic
+    /// fallback).
+    hash_group_counts,
+    /// Distincts executed by the linear [`ops::distinct_sorted`] kernel.
+    sorted_distincts,
+    /// Distincts executed by the sort-based [`ops::distinct_rows`] kernel.
+    sort_distincts,
+    /// Distincts skipped because the input was derived-distinct.
+    distinct_passthroughs,
+    /// Equality selections answered by binary search on a derived-sorted
+    /// column.
+    sorted_selects,
+    /// Scan bounds resolved from RLE run headers instead of decompressed
+    /// values.
+    rle_selects,
+    /// `IN`-list selections on a derived-sorted column answered by
+    /// per-probe binary search (k·log n) instead of a linear membership
+    /// scan.
+    sorted_in_selects,
+    /// Base scans that ran the write-store union path (a live tombstone
+    /// set, or pending inserts matching the scan bounds); scans the
+    /// write store cannot affect keep the plain read-store path.
+    delta_union_scans,
+    /// Write-store merges into the sorted read-store (explicit or
+    /// threshold-triggered).
+    merges,
+    /// Operator executions that actually partitioned work across the
+    /// morsel pool (batches with more than one morsel). Scratch state
+    /// (hash maps, join tables, key buffers) is allocated per *worker per
+    /// batch* — at most `threads` scratches per batch, never one per
+    /// morsel — so scratch allocations are bounded by
+    /// `parallel_tasks × threads` while the work units number `morsels`.
+    parallel_tasks,
+    /// Total morsels executed across all partitioned batches.
+    morsels,
+    /// Base scans that emitted a run-encoded column straight from the
+    /// stored RLE representation — compressed execution, no
+    /// decompression at the scan boundary.
+    run_scans,
+    /// Operators executed by a run-native kernel (run-aware selection,
+    /// run×block merge join, aggregation off run lengths) instead of the
+    /// flat twin.
+    run_kernel_dispatches,
+    /// Run-encoded columns expanded to flat values — at the result
+    /// boundary, or for an operator that genuinely needs flat input
+    /// (hash kernels, unordered gathers).
+    runs_expanded,
+    /// Bytes actually charged for run-emitting scans (the compressed run
+    /// headers). Compare with [`ExecStatsSnapshot::scan_bytes_logical`].
+    scan_bytes_compressed,
+    /// Bytes the same scans would have charged decompressed (8 bytes per
+    /// logical row) — the I/O the run representation saved.
+    scan_bytes_logical,
+    /// Executions that ended in [`EngineError::Cancelled`] — deadline,
+    /// memory limit, or caller cancellation (resource governance).
+    cancelled_queries,
+    /// High-water mark of per-query tracked allocations (bytes charged to
+    /// a [`QueryBudget`] by joins, aggregations, and result
+    /// materialization) across all executions since the last reset.
+    peak_mem_bytes,
 }
 
 #[inline]
@@ -127,83 +160,6 @@ type GroupCount2 = (Vec<u64>, Vec<u64>, Vec<u64>);
 struct ExecCtx<'a> {
     props: &'a PropsContext,
     budget: &'a QueryBudget,
-}
-
-/// A point-in-time copy of the dispatch counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStatsSnapshot {
-    /// Joins executed by [`ops::merge_join`] (both inputs derived-sorted).
-    pub merge_joins: u64,
-    /// Joins executed by [`ops::hash_join`].
-    pub hash_joins: u64,
-    /// Multi-way star joins executed by the [`ops::leapfrog_join`]
-    /// kernel (every input derived-sorted on its key column). A
-    /// leapfrog node whose inputs lost their order falls back to the
-    /// binary-join fold, counting under `merge_joins`/`hash_joins`
-    /// instead.
-    pub leapfrog_dispatches: u64,
-    /// Group-counts executed by the run-based sorted kernels.
-    pub sorted_group_counts: u64,
-    /// Group-counts executed by the hash kernels (incl. the generic
-    /// fallback).
-    pub hash_group_counts: u64,
-    /// Distincts executed by the linear [`ops::distinct_sorted`] kernel.
-    pub sorted_distincts: u64,
-    /// Distincts executed by the sort-based [`ops::distinct_rows`] kernel.
-    pub sort_distincts: u64,
-    /// Distincts skipped because the input was derived-distinct.
-    pub distinct_passthroughs: u64,
-    /// Equality selections answered by binary search on a derived-sorted
-    /// column.
-    pub sorted_selects: u64,
-    /// Scan bounds resolved from RLE run headers instead of decompressed
-    /// values.
-    pub rle_selects: u64,
-    /// `IN`-list selections on a derived-sorted column answered by
-    /// per-probe binary search (k·log n) instead of a linear membership
-    /// scan.
-    pub sorted_in_selects: u64,
-    /// Base scans that ran the write-store union path (a live tombstone
-    /// set, or pending inserts matching the scan bounds); scans the
-    /// write store cannot affect keep the plain read-store path.
-    pub delta_union_scans: u64,
-    /// Write-store merges into the sorted read-store (explicit or
-    /// threshold-triggered).
-    pub merges: u64,
-    /// Operator executions that actually partitioned work across the
-    /// morsel pool (batches with more than one morsel). Scratch state
-    /// (hash maps, join tables, key buffers) is allocated per *worker per
-    /// batch* — at most `threads` scratches per batch, never one per
-    /// morsel — so scratch allocations are bounded by
-    /// `parallel_tasks × threads` while the work units number `morsels`.
-    pub parallel_tasks: u64,
-    /// Total morsels executed across all partitioned batches.
-    pub morsels: u64,
-    /// Base scans that emitted a run-encoded column straight from the
-    /// stored RLE representation — compressed execution, no
-    /// decompression at the scan boundary.
-    pub run_scans: u64,
-    /// Operators executed by a run-native kernel (run-aware selection,
-    /// run×block merge join, aggregation off run lengths) instead of the
-    /// flat twin.
-    pub run_kernel_dispatches: u64,
-    /// Run-encoded columns expanded to flat values — at the result
-    /// boundary, or for an operator that genuinely needs flat input
-    /// (hash kernels, unordered gathers).
-    pub runs_expanded: u64,
-    /// Bytes actually charged for run-emitting scans (the compressed run
-    /// headers). Compare with [`ExecStatsSnapshot::scan_bytes_logical`].
-    pub scan_bytes_compressed: u64,
-    /// Bytes the same scans would have charged decompressed (8 bytes per
-    /// logical row) — the I/O the run representation saved.
-    pub scan_bytes_logical: u64,
-    /// Executions that ended in [`EngineError::Cancelled`] — deadline,
-    /// memory limit, or caller cancellation (resource governance).
-    pub cancelled_queries: u64,
-    /// High-water mark of per-query tracked allocations (bytes charged to
-    /// a [`QueryBudget`] by joins, aggregations, and result
-    /// materialization) across all executions since the last reset.
-    pub peak_mem_bytes: u64,
 }
 
 /// The 3-column triples table, sorted by one clustering order.
@@ -276,21 +232,6 @@ pub struct ColumnEngine {
     /// vertically-partitioned layout at all" (an execution error) from "a
     /// property with no triples" (an empty scan).
     vertical_loaded: bool,
-    /// Whether the sortedness-aware dispatch layer is active (default).
-    /// Off, every join hashes and every aggregation/distinct uses the
-    /// order-oblivious kernel — the A/B baseline.
-    sorted_paths: bool,
-    /// Whether run-encoded execution is active (default): base scans of
-    /// RLE columns emit runs, and operators dispatch run-native kernels
-    /// on them. Off, every scan decompresses at the scan boundary — the
-    /// flat-kernel A/B baseline (sorted dispatch still applies).
-    run_kernels: bool,
-    /// Whether cost-based join enumeration is active (default): join
-    /// chains re-planned by [`optimize_cbo`] against the statistics
-    /// catalog. Off, the statistics-free rotation heuristic
-    /// ([`reorder_joins`]) plans alone — the A/B baseline mirroring
-    /// `sorted_paths`/`run_kernels`.
-    cbo: bool,
     /// Per-table statistics collected at load/merge time and published
     /// through [`PropsContext::stats`] for the cost model. `None` until
     /// the first load; shared by `Arc` so snapshot forks republish the
@@ -334,9 +275,6 @@ impl Default for ColumnEngine {
             triple: None,
             props: FxHashMap::default(),
             vertical_loaded: false,
-            sorted_paths: true,
-            run_kernels: true,
-            cbo: true,
             stats_catalog: None,
             plan_cache: Mutex::new(FxHashMap::default()),
             verify: cfg!(debug_assertions),
@@ -357,57 +295,6 @@ impl ColumnEngine {
         Self::default()
     }
 
-    /// Enables or disables the sortedness-aware execution layer (merge
-    /// joins, run-based aggregation, linear distinct, binary-search
-    /// selection). On by default; turning it off forces the hash baseline
-    /// the benchmark trajectory compares against.
-    pub fn set_sorted_paths(&mut self, enabled: bool) {
-        self.sorted_paths = enabled;
-        self.invalidate_plan_cache();
-    }
-
-    /// Whether the sortedness-aware execution layer is active.
-    pub fn sorted_paths(&self) -> bool {
-        self.sorted_paths
-    }
-
-    /// Enables or disables run-encoded (compressed) execution: base scans
-    /// of RLE-stored columns emitting runs, and the run-native kernels
-    /// that consume them. On by default; turning it off forces every scan
-    /// to decompress at the scan boundary — the flat-kernel baseline the
-    /// compressed-execution benchmark compares against (mirroring
-    /// [`ColumnEngine::set_sorted_paths`]). Results are bit-identical
-    /// either way.
-    pub fn set_run_kernels(&mut self, enabled: bool) {
-        self.run_kernels = enabled;
-        self.invalidate_plan_cache();
-    }
-
-    /// Whether run-encoded execution is active.
-    pub fn run_kernels(&self) -> bool {
-        self.run_kernels
-    }
-
-    /// Enables or disables cost-based join enumeration: with statistics
-    /// loaded, join chains are re-planned by
-    /// [`optimize_cbo`] — DP over
-    /// the join graph plus the leapfrog star kernel — instead of the
-    /// statistics-free rotation heuristic. On by default; turning it off
-    /// pins the heuristic baseline the plan-quality benchmark compares
-    /// against (mirroring [`ColumnEngine::set_sorted_paths`]). Results
-    /// are bit-identical either way up to row order of the final result
-    /// only when plans are order-insensitive; the A/B tests compare
-    /// normalized (sorted) rows.
-    pub fn set_cbo(&mut self, enabled: bool) {
-        self.cbo = enabled;
-        self.invalidate_plan_cache();
-    }
-
-    /// Whether cost-based join enumeration is active.
-    pub fn cbo(&self) -> bool {
-        self.cbo
-    }
-
     /// Enables or disables pre-execution plan verification (the static
     /// checker in [`swans_plan::verify`](mod@swans_plan::verify)): flow typing, physical-property
     /// soundness and executor legality, with failures surfacing as
@@ -426,41 +313,17 @@ impl ColumnEngine {
         self.verify
     }
 
-    /// Whether base scans may emit run-encoded columns: compressed
-    /// execution rides on the sorted layer (runs only exist on sorted
-    /// columns, and the hash baseline must measure plain flat scans).
-    fn run_emission(&self) -> bool {
-        self.sorted_paths && self.run_kernels
-    }
-
     /// Sets the morsel-pool width: partitioned operators execute on up to
     /// `threads` scoped worker threads (1 — the default — runs every
     /// morsel inline on the calling thread). Results are bit-identical at
-    /// every width; only wall-clock changes. An enabled task-timing flag
-    /// survives the resize; the recorded log is cleared (its batches
-    /// belong to the old width).
+    /// every width; only wall-clock changes.
     pub fn set_threads(&mut self, threads: usize) {
-        let timing = self.pool.timing();
         self.pool = WorkerPool::new(threads);
-        self.pool.set_timing(timing);
     }
 
     /// The configured morsel-pool width.
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// Enables or disables per-morsel task timing in the worker pool (the
-    /// raw material of `bench_pr4`'s scaling model). Timings taken at
-    /// width 1 are uncontended.
-    pub fn set_task_timing(&self, on: bool) {
-        self.pool.set_timing(on);
-    }
-
-    /// Drains the recorded batches of per-morsel task durations
-    /// (seconds), one inner vector per pool barrier.
-    pub fn take_task_log(&self) -> Vec<Vec<f64>> {
-        self.pool.take_log()
     }
 
     /// A snapshot of the kernel-dispatch counters.
@@ -528,7 +391,6 @@ impl ColumnEngine {
     /// them survive an unrelated pending delta. Tombstones never
     /// downgrade: hiding rows from a sorted stream leaves it sorted.
     pub fn props_ctx(&self) -> PropsContext {
-        let emit = self.run_emission();
         PropsContext {
             triple_order: self.triple.as_ref().map(|t| t.order),
             pending_insert_props: self
@@ -539,37 +401,23 @@ impl ColumnEngine {
                 .map(|(&p, _)| p)
                 .collect(),
             pending_tombstone_props: self.write.delete_props.iter().copied().collect(),
-            rle_props: if emit {
-                self.props
-                    .iter()
-                    .filter(|(_, t)| t.s.peek_runs().is_some_and(Self::emit_worthy))
-                    .map(|(&p, _)| p)
-                    .collect()
-            } else {
-                Default::default()
-            },
-            triple_lead_rle: emit
-                && self.triple.as_ref().is_some_and(|t| {
-                    let lead = t.order.permutation()[0];
-                    t.cols[lead].peek_runs().is_some_and(Self::emit_worthy)
-                }),
+            rle_props: self
+                .props
+                .iter()
+                .filter(|(_, t)| t.s.peek_runs().is_some_and(Self::emit_worthy))
+                .map(|(&p, _)| p)
+                .collect(),
+            triple_lead_rle: self.triple.as_ref().is_some_and(|t| {
+                let lead = t.order.permutation()[0];
+                t.cols[lead].peek_runs().is_some_and(Self::emit_worthy)
+            }),
             stats: self.stats_catalog.clone(),
         }
     }
 
-    /// Recollects the statistics catalog from the current read-store
-    /// tables: row counts, per-column distinct counts (the sorted lead
-    /// column by a linear boundary pass — on an RLE column that count is
-    /// exactly the run count the header already holds — the rest by
-    /// hashing) and the bytes a full scan touches as stored (16 B per
-    /// run header for RLE-kept columns, 8 B per flat row). Runs at every
-    /// load and merge — the only moments the read store changes — so the
-    /// published catalog never describes dropped tables. Pending
-    /// write-store deltas leave it slightly stale by design (see
-    /// [`StatsCatalog`]); the next merge recollects.
     /// Drops every memoized plan rewrite. Called by every mutation that
     /// changes the physical context enumeration prices against: loads,
-    /// delta application, merges, and the execution-layer switches.
+    /// delta application and merges.
     fn invalidate_plan_cache(&mut self) {
         self.plan_cache.get_mut().expect("plan cache").clear();
     }
@@ -592,6 +440,16 @@ impl ColumnEngine {
         optimized
     }
 
+    /// Recollects the statistics catalog from the current read-store
+    /// tables: row counts, per-column distinct counts (the sorted lead
+    /// column by a linear boundary pass — on an RLE column that count is
+    /// exactly the run count the header already holds — the rest by
+    /// hashing) and the bytes a full scan touches as stored (16 B per
+    /// run header for RLE-kept columns, 8 B per flat row). Runs at every
+    /// load and merge — the only moments the read store changes — so the
+    /// published catalog never describes dropped tables. Pending
+    /// write-store deltas leave it slightly stale by design (see
+    /// [`StatsCatalog`]); the next merge recollects.
     fn rebuild_stats(&mut self) {
         fn distinct_sorted(vals: &[u64]) -> u64 {
             u64::from(!vals.is_empty()) + vals.windows(2).filter(|w| w[0] != w[1]).count() as u64
@@ -665,16 +523,6 @@ impl ColumnEngine {
         }
         self.stats_catalog = Some(Arc::new(catalog));
         self.invalidate_plan_cache();
-    }
-
-    /// Physical properties of `plan` under this engine's layout, or
-    /// nothing when the sorted layer is disabled.
-    fn plan_props(&self, plan: &Plan, ctx: &PropsContext) -> PhysProps {
-        if self.sorted_paths {
-            derive_props(plan, ctx)
-        } else {
-            PhysProps::unordered()
-        }
     }
 
     /// Loads the triples table sorted by `order`. With `compress`, the
@@ -755,9 +603,6 @@ impl ColumnEngine {
             triple: self.triple.clone(),
             props: self.props.clone(),
             vertical_loaded: self.vertical_loaded,
-            sorted_paths: self.sorted_paths,
-            run_kernels: self.run_kernels,
-            cbo: self.cbo,
             stats_catalog: self.stats_catalog.clone(),
             plan_cache: Mutex::new(FxHashMap::default()),
             verify: self.verify,
@@ -963,112 +808,112 @@ impl ColumnEngine {
         self.props.len()
     }
 
-    /// Executes a logical plan, returning the materialized result.
+    /// Executes a logical plan, returning the result as a column
+    /// [`Chunk`] (columns the whole plan kept run-encoded stay so).
     ///
     /// The plan is validated first; structural problems, scans against a
     /// layout this engine never loaded, and unsupported constructs all
     /// surface as [`EngineError`] — plan execution never panics.
     ///
-    /// With the sorted layer active, join chains are first reordered to
-    /// pair sorted inputs ([`reorder_joins`]) — a physical rewrite that
-    /// never changes answers, only which kernel runs. With verification
-    /// active ([`ColumnEngine::set_verify`]; the default in debug
-    /// builds), the plan *as executed* — after the reorder, under this
-    /// engine's layout context — additionally passes the static verifier
-    /// first, so an unjustifiable property claim is an
-    /// [`EngineError::Verify`] naming the operator, not a wrong answer.
+    /// Join chains are first re-planned by the cost-based enumerator
+    /// ([`optimize_cbo`]: DP over the join graph plus the leapfrog star
+    /// kernel, priced against the statistics catalog, memoized per
+    /// submitted plan) — a physical rewrite that never changes answers,
+    /// only which kernel runs. With verification active
+    /// ([`ColumnEngine::set_verify`]; the default in debug builds), the
+    /// plan *as executed* — after the rewrite, under this engine's layout
+    /// context — additionally passes the static verifier first, so an
+    /// unjustifiable property claim is an [`EngineError::Verify`] naming
+    /// the operator, not a wrong answer.
     pub fn execute(&self, plan: &Plan) -> Result<Chunk, EngineError> {
+        self.run(plan, &QueryBudget::unlimited(), Ok)
+    }
+
+    /// [`ColumnEngine::execute_budgeted`] without a budget.
+    pub fn execute_rows(&self, plan: &Plan) -> Result<Vec<Vec<u64>>, EngineError> {
         self.execute_budgeted(plan, &QueryBudget::unlimited())
     }
 
-    /// [`ColumnEngine::execute`] under a resource budget: the deadline,
-    /// cancellation token, and memory limit of `budget` are checked
-    /// cooperatively — per operator and per morsel inside the partitioned
-    /// kernels — and a tripped budget surfaces as
-    /// [`EngineError::Cancelled`] (never a panic, never a poisoned lock).
-    /// Tracked allocations (join pair vectors, aggregation tables, result
-    /// materialization) are charged to the budget as they grow, so a
-    /// memory-limit abort happens *during* a blow-up, not after it.
+    /// Executes a logical plan under a resource budget, decoded to
+    /// row-major form. The deadline, cancellation token, and memory limit
+    /// of `budget` are checked cooperatively — per operator and per
+    /// morsel inside the partitioned kernels — and a tripped budget
+    /// surfaces as [`EngineError::Cancelled`] (never a panic, never a
+    /// poisoned lock). Tracked allocations (join pair vectors,
+    /// aggregation tables, result materialization) are charged to the
+    /// budget as they grow, so a memory-limit abort happens *during* a
+    /// blow-up, not after it; the row-major copy itself is charged
+    /// before it is built.
+    ///
+    /// This is the result boundary of compressed execution: any column
+    /// that stayed run-encoded through the whole plan is expanded here
+    /// (and counted in [`ExecStatsSnapshot::runs_expanded`]).
     pub fn execute_budgeted(
         &self,
         plan: &Plan,
         budget: &QueryBudget,
-    ) -> Result<Chunk, EngineError> {
-        let result = self.execute_inner(plan, budget);
-        self.stats
-            .peak_mem_bytes
-            .fetch_max(budget.peak_mem_bytes(), Ordering::Relaxed);
-        if matches!(result, Err(EngineError::Cancelled { .. })) {
-            bump(&self.stats.cancelled_queries);
-        }
-        result
+    ) -> Result<Vec<Vec<u64>>, EngineError> {
+        self.run(plan, budget, |chunk| {
+            budget.charge(8 * (chunk.arity() as u64) * chunk.len() as u64)?;
+            for i in 0..chunk.arity() {
+                if chunk.col_expansion_pending(i) {
+                    bump(&self.stats.runs_expanded);
+                }
+            }
+            Ok(chunk.to_rows())
+        })
     }
 
-    fn execute_inner(&self, plan: &Plan, budget: &QueryBudget) -> Result<Chunk, EngineError> {
-        plan.validate().map_err(EngineError::InvalidPlan)?;
-        // One context per execution: the derivation (and the join
-        // reordering) must see a consistent write-store state throughout.
-        let ctx = self.props_ctx();
-        // Run claims of the plan *as submitted* — the claim surface the
-        // caller derived against, which the optimizer rewrites below must
-        // not exceed (enforced at the result boundary after execution).
-        let submitted_runs = self.plan_props(plan, &ctx).run_encoded;
-        let cached;
-        let reordered;
-        let plan = if self.sorted_paths && swans_plan::optimize::has_join(plan) {
-            // Cost-based enumeration when active (DP over the join graph
-            // plus the leapfrog star kernel, priced against the
-            // statistics catalog, memoized per submitted plan); the
-            // statistics-free rotation heuristic as the A/B baseline.
-            if self.cbo {
+    /// The one execution path: validate, re-plan, verify, execute, hand
+    /// the result chunk to `finish` (the caller's result boundary), then
+    /// account the budget's memory peak and a cancellation in the
+    /// dispatch counters.
+    fn run<T>(
+        &self,
+        plan: &Plan,
+        budget: &QueryBudget,
+        finish: impl FnOnce(Chunk) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let result = (|| {
+            plan.validate().map_err(EngineError::InvalidPlan)?;
+            // One context per execution: the derivation (and the join
+            // enumeration) must see a consistent write-store state
+            // throughout.
+            let ctx = self.props_ctx();
+            // Run claims of the plan *as submitted* — the claim surface
+            // the caller derived against, which the optimizer rewrite
+            // below must not exceed (enforced at the result boundary
+            // after execution).
+            let submitted_runs = derive_props(plan, &ctx).run_encoded;
+            let cached;
+            let plan = if swans_plan::optimize::has_join(plan) {
                 cached = self.cached_cbo(plan, &ctx);
                 &*cached
             } else {
-                reordered = reorder_joins(plan.clone(), &ctx);
-                &reordered
+                plan
+            };
+            if self.verify {
+                swans_plan::verify::verify(plan, &ctx).map_err(EngineError::Verify)?;
             }
-        } else {
-            plan
-        };
-        if self.verify {
-            swans_plan::verify::verify(plan, &ctx).map_err(EngineError::Verify)?;
-        }
-        let ectx = ExecCtx {
-            props: &ctx,
-            budget,
-        };
-        let mut chunk = self.exec(plan, full_mask(plan.arity()), &ectx)?;
-        // Converse run invariant at the caller boundary: the rewritten
-        // plan may legitimately keep different columns run-encoded (a
-        // cheaper join order moves which merge-join left side survives
-        // compressed); expand any run column the submitted plan never
-        // claimed, and count the expansion like any result-boundary one.
-        for i in 0..chunk.arity() {
-            if chunk.col_is_runs(i) && !submitted_runs.contains(&i) {
-                bump(&self.stats.runs_expanded);
-                chunk.expand_col(i);
+            let ectx = ExecCtx {
+                props: &ctx,
+                budget,
+            };
+            let mut chunk = self.exec(plan, full_mask(plan.arity()), &ectx)?;
+            // Converse run invariant at the caller boundary: the
+            // rewritten plan may legitimately keep different columns
+            // run-encoded (a cheaper join order moves which merge-join
+            // left side survives compressed); expand any run column the
+            // submitted plan never claimed, and count the expansion like
+            // any result-boundary one.
+            for i in 0..chunk.arity() {
+                if chunk.col_is_runs(i) && !submitted_runs.contains(&i) {
+                    bump(&self.stats.runs_expanded);
+                    chunk.expand_col(i);
+                }
             }
-        }
-        Ok(chunk)
-    }
-
-    /// [`ColumnEngine::execute`] decoded to row-major form — the result
-    /// boundary of compressed execution: any column that stayed
-    /// run-encoded through the whole plan is expanded here (and counted
-    /// in [`ExecStatsSnapshot::runs_expanded`]).
-    pub fn execute_rows(&self, plan: &Plan) -> Result<Vec<Vec<u64>>, EngineError> {
-        self.execute_rows_budgeted(plan, &QueryBudget::unlimited())
-    }
-
-    /// [`ColumnEngine::execute_budgeted`] decoded to row-major form (see
-    /// [`ColumnEngine::execute_rows`] for the expansion accounting). The
-    /// row-major copy itself is charged to the budget before it is built.
-    pub fn execute_rows_budgeted(
-        &self,
-        plan: &Plan,
-        budget: &QueryBudget,
-    ) -> Result<Vec<Vec<u64>>, EngineError> {
-        let result = self.execute_rows_inner(plan, budget);
+            finish(chunk)
+        })();
         self.stats
             .peak_mem_bytes
             .fetch_max(budget.peak_mem_bytes(), Ordering::Relaxed);
@@ -1076,21 +921,6 @@ impl ColumnEngine {
             bump(&self.stats.cancelled_queries);
         }
         result
-    }
-
-    fn execute_rows_inner(
-        &self,
-        plan: &Plan,
-        budget: &QueryBudget,
-    ) -> Result<Vec<Vec<u64>>, EngineError> {
-        let chunk = self.execute_inner(plan, budget)?;
-        budget.charge(8 * (chunk.arity() as u64) * chunk.len() as u64)?;
-        for i in 0..chunk.arity() {
-            if chunk.col_expansion_pending(i) {
-                bump(&self.stats.runs_expanded);
-            }
-        }
-        Ok(chunk.to_rows())
     }
 
     fn exec(&self, plan: &Plan, needed: u64, ctx: &ExecCtx<'_>) -> Result<Chunk, EngineError> {
@@ -1111,7 +941,7 @@ impl ColumnEngine {
                 // An equality predicate on the child's leading sort column
                 // resolves by binary search instead of a full scan — over
                 // the run headers when the column is run-encoded.
-                if pred.op == CmpOp::Eq && self.plan_props(input, ctx.props).sorted_on(pred.col) {
+                if pred.op == CmpOp::Eq && derive_props(input, ctx.props).sorted_on(pred.col) {
                     bump(&self.stats.sorted_selects);
                     let range = if let Some(runs) = child.col_runs(pred.col) {
                         bump(&self.stats.run_kernel_dispatches);
@@ -1145,7 +975,7 @@ impl ColumnEngine {
                 // membership scan; run-encoded columns probe the (much
                 // shorter) run headers. Both emit the exact ascending
                 // position vector of the linear kernel.
-                let sorted = self.plan_props(input, ctx.props).sorted_on(*col);
+                let sorted = derive_props(input, ctx.props).sorted_on(*col);
                 let sel = if let Some(runs) = child.col_runs(*col) {
                     bump(&self.stats.run_kernel_dispatches);
                     if sorted {
@@ -1175,8 +1005,8 @@ impl ColumnEngine {
                 let r = self.exec(right, right_needed, ctx)?;
                 // Both join columns derived-sorted: the linear merge join
                 // the sorted layouts were built for. Otherwise hash.
-                let use_merge = self.plan_props(left, ctx.props).sorted_on(*left_col)
-                    && self.plan_props(right, ctx.props).sorted_on(*right_col);
+                let use_merge = derive_props(left, ctx.props).sorted_on(*left_col)
+                    && derive_props(right, ctx.props).sorted_on(*right_col);
                 let (lsel, rsel) = if use_merge {
                     bump(&self.stats.merge_joins);
                     let lruns = l.col_runs(*left_col);
@@ -1232,13 +1062,12 @@ impl ColumnEngine {
             Plan::LeapfrogJoin { inputs, cols } => {
                 // The multi-way star kernel requires every input
                 // derived-sorted on its key column; an input that lost
-                // its order (or the sorted layer being off) sends the
-                // whole node through its equivalent binary-join fold.
-                let dispatch = self.sorted_paths
-                    && inputs
-                        .iter()
-                        .zip(cols)
-                        .all(|(inp, &c)| self.plan_props(inp, ctx.props).sorted_on(c));
+                // its order sends the whole node through its equivalent
+                // binary-join fold.
+                let dispatch = inputs
+                    .iter()
+                    .zip(cols)
+                    .all(|(inp, &c)| derive_props(inp, ctx.props).sorted_on(c));
                 if !dispatch {
                     return self.exec(&leapfrog_fold(inputs, cols), needed, ctx);
                 }
@@ -1321,7 +1150,7 @@ impl ColumnEngine {
                 let child = self.exec(input, child_needed, ctx)?;
                 // Input sorted by exactly the grouping keys: groups are
                 // contiguous runs — aggregate linearly, no hash table.
-                let runs = self.plan_props(input, ctx.props).sorted_by_prefix(keys);
+                let runs = derive_props(input, ctx.props).sorted_by_prefix(keys);
                 match (keys.len(), runs) {
                     (1, true) => {
                         bump(&self.stats.sorted_group_counts);
@@ -1423,7 +1252,7 @@ impl ColumnEngine {
                 )
             }
             Plan::Distinct { input } => {
-                let props = self.plan_props(input, ctx.props);
+                let props = derive_props(input, ctx.props);
                 // Derived-distinct input: nothing to eliminate — pass the
                 // child through (only the columns the parent needs).
                 if props.distinct {
@@ -1457,7 +1286,8 @@ impl ColumnEngine {
         Ok(chunk)
     }
 
-    /// Debug-mode shadow validator: spot-checks the [`PhysProps`] claims
+    /// Debug-mode shadow validator: spot-checks the
+    /// [`PhysProps`](swans_plan::props::PhysProps) claims
     /// the dispatcher relied on against the operator's *actual* output.
     /// Compiled only under `debug_assertions`; every test-suite execution
     /// therefore cross-examines the property derivation at every plan
@@ -1469,8 +1299,7 @@ impl ColumnEngine {
     ///   schema),
     /// * the run-encoding converse invariant — a column is only ever
     ///   produced run-encoded at a claimed position,
-    /// * with the sorted layer active (claims are dispatch-relevant only
-    ///   then): the claimed sort key really is lexicographically
+    /// * the claimed sort key really is lexicographically
     ///   non-decreasing, and a claimed-distinct output really has no
     ///   duplicate rows. Both checks sample adjacent row pairs (capped)
     ///   and read run columns through their headers, so no run column is
@@ -1484,10 +1313,8 @@ impl ColumnEngine {
             "shadow validator: output arity diverges from the plan at {}",
             plan.explain().lines().next().unwrap_or_default()
         );
-        let props = self.plan_props(plan, ctx);
-        // Converse run invariant: runs only at claimed positions. With
-        // the sorted layer off, `plan_props` claims nothing — and run
-        // emission is off too, so nothing may come out run-encoded.
+        let props = derive_props(plan, ctx);
+        // Converse run invariant: runs only at claimed positions.
         for i in 0..chunk.arity() {
             if chunk.col_is_runs(i) {
                 assert!(
@@ -1496,9 +1323,6 @@ impl ColumnEngine {
                     plan.explain().lines().next().unwrap_or_default()
                 );
             }
-        }
-        if !self.sorted_paths {
-            return;
         }
         // Read a cell without expanding a run column (expansion would
         // corrupt the runs_expanded accounting the stats tests pin).
@@ -1591,14 +1415,8 @@ impl ColumnEngine {
                 (true, Some(v)) => {
                     let col = &t.cols[key_col];
                     // Leading clustered column with RLE run headers:
-                    // resolve the bound from the headers directly. Gated
-                    // on the sorted layer so the hash baseline measures
-                    // the plain decompressed binary search.
-                    if self.sorted_paths
-                        && range == (0..col.len())
-                        && col.is_sorted()
-                        && col.has_runs()
-                    {
+                    // resolve the bound from the headers directly.
+                    if range == (0..col.len()) && col.is_sorted() && col.has_runs() {
                         bump(&self.stats.rle_selects);
                         range = col.eq_range(v);
                     } else {
@@ -1703,8 +1521,7 @@ impl ColumnEngine {
                 // filtered or range-restricted scan's output collapses
                 // the runs, and the flat path is the better
                 // representation there anyway.
-                if c == perm[0] && self.run_emission() && full && bounds.iter().all(Option::is_none)
-                {
+                if c == perm[0] && full && bounds.iter().all(Option::is_none) {
                     if let Some(runs) = t.cols[c].read_runs().filter(|r| Self::emit_worthy(r)) {
                         return Some(self.emit_runs(runs));
                     }
@@ -1773,10 +1590,8 @@ impl ColumnEngine {
 
         let mut range = 0..t.s.len();
         if let Some(v) = s {
-            // Subject bound: RLE run headers when compressed (gated on
-            // the sorted layer — the hash baseline binary-searches the
-            // decompressed values).
-            if self.sorted_paths && t.s.has_runs() {
+            // Subject bound: RLE run headers when compressed.
+            if t.s.has_runs() {
                 bump(&self.stats.rle_selects);
                 range = t.s.eq_range(v);
             } else {
@@ -1868,7 +1683,7 @@ impl ColumnEngine {
             // (the exact shape the derived `run_encoded` claim covers —
             // a bound scan that happens to cover the whole range must
             // still come out flat).
-            let emit = (self.run_emission() && full && s.is_none() && o.is_none())
+            let emit = (full && s.is_none() && o.is_none())
                 .then(|| t.s.read_runs().filter(|r| Self::emit_worthy(r)))
                 .flatten();
             cols[0] = Some(match emit {
@@ -2931,6 +2746,7 @@ mod tests {
     use super::*;
     use swans_plan::algebra::{group_count, join, project, scan_all, scan_p, scan_po};
     use swans_plan::naive;
+    use swans_plan::props::PhysProps;
     use swans_storage::MachineProfile;
 
     fn triples() -> Vec<Triple> {
@@ -3664,7 +3480,7 @@ mod tests {
 
     /// Compressed execution end-to-end: run-encoded scans and run kernels
     /// fire, charge compressed instead of logical bytes, and the output
-    /// is *bit-identical* to the flat-kernel baseline on every plan.
+    /// matches the flat row-at-a-time reference executor on every plan.
     #[test]
     fn run_execution_matches_flat_baseline_bit_identically() {
         let data = run_shaped_triples();
@@ -3672,20 +3488,12 @@ mod tests {
         let mut run = ColumnEngine::new();
         run.load_vertical(&m, &data, true);
         run.load_triple_store(&m, &data, SortOrder::Pso, true);
-        let mut flat = ColumnEngine::new();
-        flat.set_run_kernels(false);
-        assert!(!flat.run_kernels());
-        flat.load_vertical(&m, &data, true);
-        flat.load_triple_store(&m, &data, SortOrder::Pso, true);
 
         for (i, plan) in run_heavy_plans().iter().enumerate() {
             run.reset_exec_stats();
-            let a = run.execute(plan).expect("run path").to_rows();
-            let b = flat.execute(plan).expect("flat path").to_rows();
-            assert_eq!(a, b, "plan {i} differs between run and flat execution");
-            // Anchor correctness once against the naive executor too.
+            let rows = run.execute(plan).expect("run path").to_rows();
             assert_eq!(
-                naive::normalize(a),
+                naive::normalize(rows),
                 naive::normalize(naive::execute(plan, &data)),
                 "plan {i} wrong vs naive"
             );
@@ -3700,12 +3508,6 @@ mod tests {
                 "plan {i}: compression must save bytes: {stats:?}"
             );
         }
-        // The flat baseline never touched the run layer.
-        let fstats = flat.exec_stats();
-        assert_eq!(fstats.run_scans, 0);
-        assert_eq!(fstats.run_kernel_dispatches, 0);
-        assert_eq!(fstats.scan_bytes_compressed, 0);
-        assert_eq!(fstats.runs_expanded, 0);
     }
 
     /// Run-kernel execution is bit-identical across pool widths — the
@@ -3758,7 +3560,7 @@ mod tests {
     /// scans (the union path is flat) without touching other properties;
     /// a merge restores it.
     #[test]
-    fn pending_delta_suppresses_run_emission_until_merge() {
+    fn pending_delta_suppresses_run_scans_until_merge() {
         let data = run_shaped_triples();
         let m = StorageManager::new(MachineProfile::B);
         let mut e = ColumnEngine::new();
@@ -3882,8 +3684,7 @@ mod tests {
 
     /// The sorted `IN` satellite: a derived-sorted filter column resolves
     /// each probe by binary search (counted), identically to the linear
-    /// kernel — and the baseline with sorted paths off keeps the linear
-    /// scan.
+    /// kernel.
     #[test]
     fn filter_in_on_sorted_column_binary_searches() {
         let data = run_shaped_triples();
@@ -3906,14 +3707,6 @@ mod tests {
             naive::normalize(got.to_rows()),
             naive::normalize(naive::execute(&plan, &data))
         );
-
-        let mut baseline = ColumnEngine::new();
-        baseline.set_sorted_paths(false);
-        baseline.load_vertical(&m, &data, false);
-        baseline.reset_exec_stats();
-        let base = baseline.execute(&plan).expect("baseline runs");
-        assert_eq!(baseline.exec_stats().sorted_in_selects, 0);
-        assert_eq!(got.to_rows(), base.to_rows());
     }
 
     /// All twelve benchmark queries on both layouts match the naive
@@ -3952,11 +3745,6 @@ mod tests {
         let mut e = ColumnEngine::new();
         e.load_triple_store(&m, &ds.triples, SortOrder::Pso, false);
         e.load_vertical(&m, &ds.triples, false);
-        // The hash baseline: same layouts, sorted dispatch layer off.
-        let mut hash = ColumnEngine::new();
-        hash.set_sorted_paths(false);
-        hash.load_triple_store(&m, &ds.triples, SortOrder::Pso, false);
-        hash.load_vertical(&m, &ds.triples, false);
 
         for q in QueryId::ALL {
             for scheme in [Scheme::TripleStore, Scheme::VerticallyPartitioned] {
@@ -3964,22 +3752,13 @@ mod tests {
                 let got = naive::normalize(e.execute(&plan).expect("plan executes").to_rows());
                 let want = naive::normalize(naive::execute(&plan, &ds.triples));
                 assert_eq!(got, want, "query {q} / {}", scheme.name());
-                // Sorted paths (merge joins, run aggregation, ...) answer
-                // exactly like the hash-only baseline.
-                let base = naive::normalize(hash.execute(&plan).expect("hash executes").to_rows());
-                assert_eq!(got, base, "sorted vs hash on {q} / {}", scheme.name());
             }
         }
-        // The sorted layer did real work on this workload...
+        // The sorted layer did real work on this workload.
         let stats = e.exec_stats();
         assert!(
             stats.merge_joins > 0,
             "no merge joins dispatched: {stats:?}"
         );
-        // ...and the baseline never touched a sorted kernel.
-        let base_stats = hash.exec_stats();
-        assert_eq!(base_stats.merge_joins, 0);
-        assert_eq!(base_stats.sorted_group_counts, 0);
-        assert_eq!(base_stats.sorted_distincts, 0);
     }
 }

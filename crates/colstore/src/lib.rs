@@ -29,18 +29,16 @@
 //!   counts straight off run lengths, and gathers/slices with monotone
 //!   selection vectors stay run-encoded. Expansion to flat values happens
 //!   lazily, at the result boundary or for an operator that genuinely
-//!   needs flat input (hash kernels, unions). The layer can be switched
-//!   off ([`ColumnEngine::set_run_kernels`]) for A/B comparison, and
-//!   [`ExecStatsSnapshot`] records run scans, run-kernel dispatches,
-//!   expansions, and compressed-vs-logical scan bytes.
+//!   needs flat input (hash kernels, unions). [`ExecStatsSnapshot`]
+//!   records run scans, run-kernel dispatches, expansions, and
+//!   compressed-vs-logical scan bytes.
 //! * **Projection pushdown.** Only the columns a query actually consumes
 //!   are read and materialized (late materialization).
 //! * **Sortedness-aware dispatch.** Physical properties derived from the
 //!   layout ([`swans_plan::props`]) pick merge joins, run-based
 //!   aggregation and linear distinct over their hash/sort counterparts
 //!   whenever the input order allows; every decision is observable through
-//!   [`ExecStatsSnapshot`] and the whole layer can be switched off
-//!   ([`ColumnEngine::set_sorted_paths`]) for A/B comparison.
+//!   [`ExecStatsSnapshot`].
 //! * **Write-store / read-store split.** The sorted tables above are the
 //!   immutable *read store*; mutations land in an unsorted in-memory
 //!   *write store* (per-property insert vectors plus a tombstone set, the

@@ -21,15 +21,9 @@
 //! * [`WorkerPool::run_reduce`] — per-worker partial aggregation. Workers
 //!   fold morsels into their scratch and the scratches themselves are the
 //!   result (at most one per worker), merged by the caller at the barrier.
-//!
-//! The pool can time every task ([`WorkerPool::set_timing`]): with one
-//! thread the tasks run inline (uncontended), so the recorded durations
-//! feed an honest list-scheduling model of the parallel makespan — the
-//! same simulation philosophy as the storage layer's simulated disk.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Rows per morsel. Small enough that realistic benchmark columns split
 /// into many morsels (load balance), large enough that per-morsel
@@ -115,10 +109,6 @@ pub type OnceTask<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
 #[derive(Debug)]
 pub struct WorkerPool {
     threads: usize,
-    timing: AtomicBool,
-    /// Per-batch task durations (seconds, in morsel order), recorded only
-    /// while timing is enabled.
-    log: Mutex<Vec<Vec<f64>>>,
 }
 
 impl WorkerPool {
@@ -126,41 +116,12 @@ impl WorkerPool {
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            timing: AtomicBool::new(false),
-            log: Mutex::new(Vec::new()),
         }
     }
 
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether per-task timing is enabled.
-    pub fn timing(&self) -> bool {
-        self.timing.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables per-task timing. Timings recorded with one
-    /// thread are uncontended and feed the scaling model of `bench_pr4`.
-    pub fn set_timing(&self, on: bool) {
-        self.timing.store(on, Ordering::Relaxed);
-        if on {
-            self.log.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    }
-
-    /// Drains the recorded batches of task durations.
-    pub fn take_log(&self) -> Vec<Vec<f64>> {
-        std::mem::take(&mut self.log.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    fn record_batch(&self, mut durs: Vec<(usize, f64)>) {
-        durs.sort_unstable_by_key(|&(i, _)| i);
-        self.log
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(durs.into_iter().map(|(_, d)| d).collect());
     }
 
     /// Runs `parts` morsel tasks, returning their outputs **in morsel
@@ -172,64 +133,37 @@ impl WorkerPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> T + Sync,
     {
-        let timing = self.timing.load(Ordering::Relaxed);
         let workers = self.threads.min(parts);
         if workers <= 1 {
             let mut scratch = init();
-            let mut durs = timing.then(|| Vec::with_capacity(parts));
-            let out = (0..parts)
-                .map(|i| {
-                    let t0 = timing.then(Instant::now);
-                    let r = task(&mut scratch, i);
-                    if let (Some(d), Some(t0)) = (durs.as_mut(), t0) {
-                        d.push((i, t0.elapsed().as_secs_f64()));
-                    }
-                    r
-                })
-                .collect();
-            if let Some(d) = durs {
-                self.record_batch(d);
-            }
-            return out;
+            return (0..parts).map(|i| task(&mut scratch, i)).collect();
         }
 
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<T>> = (0..parts).map(|_| None).collect();
-        let mut all_durs: Vec<(usize, f64)> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
                         let mut scratch = init();
                         let mut got: Vec<(usize, T)> = Vec::new();
-                        let mut durs: Vec<(usize, f64)> = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= parts {
                                 break;
                             }
-                            let t0 = timing.then(Instant::now);
-                            let r = task(&mut scratch, i);
-                            if let Some(t0) = t0 {
-                                durs.push((i, t0.elapsed().as_secs_f64()));
-                            }
-                            got.push((i, r));
+                            got.push((i, task(&mut scratch, i)));
                         }
-                        (got, durs)
+                        got
                     })
                 })
                 .collect();
             for h in handles {
-                let (got, durs) = h.join().expect("worker panicked");
-                for (i, r) in got {
+                for (i, r) in h.join().expect("worker panicked") {
                     slots[i] = Some(r);
                 }
-                all_durs.extend(durs);
             }
         });
-        if timing {
-            self.record_batch(all_durs);
-        }
         slots
             .into_iter()
             .map(|s| s.expect("every morsel produced"))
@@ -247,57 +181,37 @@ impl WorkerPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) + Sync,
     {
-        let timing = self.timing.load(Ordering::Relaxed);
         let workers = self.threads.min(parts);
         if workers <= 1 {
             let mut scratch = init();
-            let mut durs = timing.then(|| Vec::with_capacity(parts));
             for i in 0..parts {
-                let t0 = timing.then(Instant::now);
                 fold(&mut scratch, i);
-                if let (Some(d), Some(t0)) = (durs.as_mut(), t0) {
-                    d.push((i, t0.elapsed().as_secs_f64()));
-                }
-            }
-            if let Some(d) = durs {
-                self.record_batch(d);
             }
             return vec![scratch];
         }
 
         let next = AtomicUsize::new(0);
         let mut out: Vec<S> = Vec::with_capacity(workers);
-        let mut all_durs: Vec<(usize, f64)> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
                         let mut scratch = init();
-                        let mut durs: Vec<(usize, f64)> = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= parts {
                                 break;
                             }
-                            let t0 = timing.then(Instant::now);
                             fold(&mut scratch, i);
-                            if let Some(t0) = t0 {
-                                durs.push((i, t0.elapsed().as_secs_f64()));
-                            }
                         }
-                        (scratch, durs)
+                        scratch
                     })
                 })
                 .collect();
             for h in handles {
-                let (scratch, durs) = h.join().expect("worker panicked");
-                out.push(scratch);
-                all_durs.extend(durs);
+                out.push(h.join().expect("worker panicked"));
             }
         });
-        if timing {
-            self.record_batch(all_durs);
-        }
         out
     }
 
@@ -308,39 +222,20 @@ impl WorkerPool {
         T: Send,
     {
         let parts = tasks.len();
-        let timing = self.timing.load(Ordering::Relaxed);
         let workers = self.threads.min(parts);
         if workers <= 1 {
-            let mut durs = timing.then(|| Vec::with_capacity(parts));
-            let out = tasks
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let t0 = timing.then(Instant::now);
-                    let r = t();
-                    if let (Some(d), Some(t0)) = (durs.as_mut(), t0) {
-                        d.push((i, t0.elapsed().as_secs_f64()));
-                    }
-                    r
-                })
-                .collect();
-            if let Some(d) = durs {
-                self.record_batch(d);
-            }
-            return out;
+            return tasks.into_iter().map(|t| t()).collect();
         }
 
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<OnceTask<'env, T>>>> =
             tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let mut out: Vec<Option<T>> = (0..parts).map(|_| None).collect();
-        let mut all_durs: Vec<(usize, f64)> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
                         let mut got: Vec<(usize, T)> = Vec::new();
-                        let mut durs: Vec<(usize, f64)> = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= parts {
@@ -351,28 +246,18 @@ impl WorkerPool {
                                 .unwrap_or_else(|e| e.into_inner())
                                 .take()
                                 .expect("each task taken once");
-                            let t0 = timing.then(Instant::now);
-                            let r = task();
-                            if let Some(t0) = t0 {
-                                durs.push((i, t0.elapsed().as_secs_f64()));
-                            }
-                            got.push((i, r));
+                            got.push((i, task()));
                         }
-                        (got, durs)
+                        got
                     })
                 })
                 .collect();
             for h in handles {
-                let (got, durs) = h.join().expect("worker panicked");
-                for (i, r) in got {
+                for (i, r) in h.join().expect("worker panicked") {
                     out[i] = Some(r);
                 }
-                all_durs.extend(durs);
             }
         });
-        if timing {
-            self.record_batch(all_durs);
-        }
         out.into_iter()
             .map(|s| s.expect("every task produced"))
             .collect()
@@ -493,22 +378,5 @@ mod tests {
             assert_eq!(lens.iter().sum::<usize>(), 100);
             assert_eq!(out, (0..100).collect::<Vec<u32>>());
         }
-    }
-
-    #[test]
-    fn timing_log_records_one_batch_per_run() {
-        let pool = WorkerPool::new(2);
-        pool.set_timing(true);
-        let _ = pool.run_with(10, || (), |_, i| i);
-        let _ = pool.run_reduce(5, || 0u64, |a, i| *a += i as u64);
-        let log = pool.take_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].len(), 10);
-        assert_eq!(log[1].len(), 5);
-        assert!(log.iter().flatten().all(|&d| d >= 0.0));
-        assert!(pool.take_log().is_empty(), "log is drained");
-        pool.set_timing(false);
-        let _ = pool.run_with(4, || (), |_, i| i);
-        assert!(pool.take_log().is_empty(), "timing off records nothing");
     }
 }

@@ -16,9 +16,9 @@
 //! engine, then the logical data set — and finishes by publishing a new
 //! snapshot: a zero-copy fork of the engine plus the new data-set `Arc`.
 //!
-//! Reads never take the writer lock (unless the engine cannot fork):
-//! [`Database::query`] clones the published `Arc` and executes on that
-//! version; [`Database::session`] pins a version for many queries. All
+//! Reads never take the writer lock: [`Database::query`] clones the
+//! published `Arc` and executes on that version's engine fork;
+//! [`Database::session`] pins a version for many queries. All
 //! mutating methods take `&self`, so a `Database` shared behind an `Arc`
 //! serves concurrent readers and writers — the `swans-serve` HTTP front
 //! door is exactly that.
@@ -29,7 +29,8 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use swans_plan::algebra::Plan;
 use swans_plan::exec::QueryBudget;
 use swans_plan::props::PropsContext;
-use swans_plan::queries::{QueryContext, QueryId};
+use swans_plan::queries::{build_plan, QueryContext, QueryId};
+use swans_plan::verify::{verify, VerifyReport};
 use swans_rdf::{Dataset, Delta};
 use swans_storage::StorageManager;
 
@@ -90,9 +91,7 @@ impl Database {
     }
 
     /// Opens `dataset` on a caller-provided [`Engine`] implementation —
-    /// the third-party plug-in point. Engines without
-    /// [`Engine::fork`] support still work: reads then serialize through
-    /// the writer lock instead of running on published snapshots.
+    /// the third-party plug-in point.
     pub fn open_with_engine(
         dataset: impl Into<Arc<Dataset>>,
         config: StoreConfig,
@@ -204,7 +203,7 @@ impl Database {
             dataset: writer.dataset.clone(),
             config: writer.store.config().clone(),
             storage: writer.store.storage().clone(),
-            engine: writer.store.fork_engine().map(Arc::from),
+            engine: Arc::from(writer.store.fork_engine()),
             pending: writer.store.pending_delta(),
         })
     }
@@ -230,12 +229,10 @@ impl Database {
 
     /// Opens a reader [`Session`]: pins the current snapshot and forks a
     /// private engine for it, so per-session execution counters never
-    /// cross-contaminate. Errors with
-    /// [`EngineError::Unsupported`](crate::EngineError::Unsupported) if
-    /// the engine cannot fork (third-party engines without
-    /// [`Engine::fork`]) — plain [`Database::query`] still works there.
+    /// cross-contaminate. Always `Ok` — every [`Engine`] forks; the
+    /// `Result` is what existing callers unwrap.
     pub fn session(&self) -> Result<Session, Error> {
-        Session::pin(self.snapshot())
+        Ok(Session::pin(self.snapshot()))
     }
 
     /// The data set of the latest published version.
@@ -262,19 +259,10 @@ impl Database {
     /// Parses, plans and executes a SPARQL query, returning decoded,
     /// lazily iterable results. Works identically on every engine × layout
     /// configuration, and concurrently with writers: the query runs
-    /// against the latest published snapshot (falling back to the writer
-    /// lock only for engines without snapshot support).
+    /// against the latest published snapshot
+    /// ([`Database::query_budgeted`] without a budget).
     pub fn query(&self, sparql: &str) -> Result<ResultSet, Error> {
-        let snap = self.snapshot();
-        if snap.isolated() {
-            return snap.query(sparql);
-        }
-        let writer = self.writer();
-        let compiled = compile(&writer.dataset, &self.config, sparql)?;
-        let results = writer.store.execute_plan(&compiled.plan)?;
-        Ok(results
-            .with_columns(compiled.columns)
-            .with_dataset(writer.dataset.clone()))
+        self.query_budgeted(sparql, &QueryBudget::unlimited())
     }
 
     /// [`Database::query`] under a resource budget: the deadline,
@@ -300,16 +288,7 @@ impl Database {
     /// # Ok::<(), swans_core::Error>(())
     /// ```
     pub fn query_budgeted(&self, sparql: &str, budget: &QueryBudget) -> Result<ResultSet, Error> {
-        let snap = self.snapshot();
-        if snap.isolated() {
-            return snap.query_budgeted(sparql, budget);
-        }
-        let writer = self.writer();
-        let compiled = compile(&writer.dataset, &self.config, sparql)?;
-        let results = writer.store.execute_plan_budgeted(&compiled.plan, budget)?;
-        Ok(results
-            .with_columns(compiled.columns)
-            .with_dataset(writer.dataset.clone()))
+        self.snapshot().query_budgeted(sparql, budget)
     }
 
     /// Like [`Database::query`], but also reports the timing and I/O of
@@ -320,22 +299,12 @@ impl Database {
     /// [`ResultSet::ids`]) rather than materialized twice.
     pub fn query_timed(&self, sparql: &str) -> Result<(ResultSet, QueryRun), Error> {
         let snap = self.snapshot();
-        if snap.isolated() {
-            let compiled = compile(&snap.dataset, &self.config, sparql)?;
-            let mut run = snap.run_plan(&compiled.plan)?;
-            let rows = std::mem::take(&mut run.rows);
-            let results = ResultSet::new(rows, compiled.plan.output_kinds())
-                .with_columns(compiled.columns)
-                .with_dataset(snap.dataset.clone());
-            return Ok((results, run));
-        }
-        let writer = self.writer();
-        let compiled = compile(&writer.dataset, &self.config, sparql)?;
-        let mut run = writer.store.run_plan(&compiled.plan)?;
+        let compiled = compile(&snap.dataset, &self.config, sparql)?;
+        let mut run = snap.run_plan(&compiled.plan)?;
         let rows = std::mem::take(&mut run.rows);
         let results = ResultSet::new(rows, compiled.plan.output_kinds())
             .with_columns(compiled.columns)
-            .with_dataset(writer.dataset.clone());
+            .with_dataset(snap.dataset.clone());
         Ok((results, run))
     }
 
@@ -520,13 +489,23 @@ impl Database {
     }
 
     /// The physical-property context EXPLAIN annotations use — derived
-    /// from the latest published snapshot's engine state (or the writer's,
-    /// for engines without snapshot support).
+    /// from the latest published snapshot's engine state.
     pub fn explain_context(&self) -> PropsContext {
-        match self.snapshot().engine.as_deref() {
-            Some(engine) => engine.explain_context(),
-            None => self.writer().store.explain_context(),
-        }
+        self.snapshot().engine.explain_context()
+    }
+
+    /// The shared front half of the EXPLAIN family, all against **one**
+    /// snapshot: the compiled plan, the engine context it was verified
+    /// under, and the verifier's coverage report. A commit landing
+    /// mid-call cannot mix versions into one rendering.
+    fn explained(
+        snap: &Snapshot,
+        sparql: &str,
+    ) -> Result<(Plan, PropsContext, VerifyReport), Error> {
+        let plan = compile(&snap.dataset, &snap.config, sparql)?.plan;
+        let ctx = snap.engine.explain_context();
+        let report = verify(&plan, &ctx).map_err(swans_plan::EngineError::Verify)?;
+        Ok((plan, ctx, report))
     }
 
     /// Returns the optimized plan tree `sparql` would execute — already
@@ -550,9 +529,7 @@ impl Database {
     /// # Ok::<(), swans_core::Error>(())
     /// ```
     pub fn explain(&self, sparql: &str) -> Result<Plan, Error> {
-        let plan = compile(&self.dataset(), &self.config, sparql)?.plan;
-        swans_plan::verify::verify(&plan, &self.explain_context())
-            .map_err(swans_plan::EngineError::Verify)?;
+        let (plan, _, _) = Self::explained(&self.snapshot(), sparql)?;
         Ok(plan)
     }
 
@@ -566,16 +543,13 @@ impl Database {
     /// rendering ends with the verifier's coverage footer, e.g.
     /// `-- verified: 7 nodes, 2 merge joins, 0 run-encoded claims`.
     pub fn explain_text(&self, sparql: &str) -> Result<String, Error> {
-        let plan = compile(&self.dataset(), &self.config, sparql)?.plan;
-        let ctx = self.explain_context();
-        let report =
-            swans_plan::verify::verify(&plan, &ctx).map_err(swans_plan::EngineError::Verify)?;
+        let (plan, ctx, report) = Self::explained(&self.snapshot(), sparql)?;
         Ok(format!("{}-- {report}\n", plan.explain_annotated(&ctx)))
     }
 
     /// EXPLAIN ANALYZE: renders the plan like [`Database::explain_text`]
-    /// and *executes every rendered node* against the current published
-    /// state, printing the measured cardinality as `actual_rows=N` next
+    /// and *executes every rendered node* against the same published
+    /// version, printing the measured cardinality as `actual_rows=N` next
     /// to the cost model's `est_rows` estimate. The estimation error
     /// (q-error, `max(est/actual, actual/est)`) of any operator can be
     /// read straight off the output — the same quantity the
@@ -585,11 +559,13 @@ impl Database {
     /// more than one query execution; it is a diagnostic, not a fast
     /// path.
     pub fn explain_analyze(&self, sparql: &str) -> Result<String, Error> {
-        let plan = compile(&self.dataset(), &self.config, sparql)?.plan;
-        let ctx = self.explain_context();
-        let report =
-            swans_plan::verify::verify(&plan, &ctx).map_err(swans_plan::EngineError::Verify)?;
-        let mut actual = |node: &Plan| self.execute_plan(node).ok().map(|rs| rs.len() as u64);
+        let snap = self.snapshot();
+        let (plan, ctx, report) = Self::explained(&snap, sparql)?;
+        let unlimited = QueryBudget::unlimited();
+        let mut actual = |node: &Plan| {
+            let rows = snap.execute_plan_budgeted(node, &unlimited);
+            rows.ok().map(|rs| rs.len() as u64)
+        };
         Ok(format!(
             "{}-- {report}\n",
             plan.explain_compared(&ctx, &mut actual)
@@ -597,15 +573,10 @@ impl Database {
     }
 
     /// Executes a raw logical plan (the algebra-level escape hatch),
-    /// decoding results through this database's dictionary.
+    /// decoding results through this database's dictionary
+    /// ([`Database::execute_plan_budgeted`] without a budget).
     pub fn execute_plan(&self, plan: &Plan) -> Result<ResultSet, Error> {
-        let snap = self.snapshot();
-        if snap.isolated() {
-            return snap.execute_plan(plan);
-        }
-        let writer = self.writer();
-        let results = writer.store.execute_plan(plan)?;
-        Ok(results.with_dataset(writer.dataset.clone()))
+        self.execute_plan_budgeted(plan, &QueryBudget::unlimited())
     }
 
     /// [`Database::execute_plan`] under a resource budget — see
@@ -615,25 +586,19 @@ impl Database {
         plan: &Plan,
         budget: &QueryBudget,
     ) -> Result<ResultSet, Error> {
-        let snap = self.snapshot();
-        if snap.isolated() {
-            return snap.execute_plan_budgeted(plan, budget);
-        }
-        let writer = self.writer();
-        let results = writer.store.execute_plan_budgeted(plan, budget)?;
-        Ok(results.with_dataset(writer.dataset.clone()))
+        self.snapshot().execute_plan_budgeted(plan, budget)
     }
 
     /// Runs benchmark query `q` through the paper's measurement protocol
-    /// (the thin wrapper over the pre-`Database` benchmark path).
+    /// (the thin wrapper over the pre-`Database` benchmark path). The
+    /// generator always produces a valid plan for this database's own
+    /// layout; should the engine fail anyway, the benchmark treats that
+    /// as fatal.
     pub fn run_benchmark(&self, q: QueryId, ctx: &QueryContext) -> QueryRun {
-        let snap = self.snapshot();
-        if snap.isolated() {
-            return snap
-                .run_benchmark(q, ctx)
-                .unwrap_or_else(|e| panic!("benchmark query {q} failed: {e}"));
-        }
-        self.writer().store.run_query(q, ctx)
+        let plan = build_plan(q, self.config.layout.scheme(), ctx);
+        self.snapshot()
+            .run_plan(&plan)
+            .unwrap_or_else(|e| panic!("benchmark query {q} failed: {e}"))
     }
 
     /// A [`QueryContext`] resolving the benchmark constants against this
@@ -665,17 +630,6 @@ mod tests {
         ds
     }
 
-    fn all_configs() -> Vec<StoreConfig> {
-        vec![
-            StoreConfig::row(Layout::TripleStore(SortOrder::Spo)),
-            StoreConfig::row(Layout::TripleStore(SortOrder::Pso)),
-            StoreConfig::row(Layout::VerticallyPartitioned),
-            StoreConfig::column(Layout::TripleStore(SortOrder::Spo)),
-            StoreConfig::column(Layout::TripleStore(SortOrder::Pso)),
-            StoreConfig::column(Layout::VerticallyPartitioned),
-        ]
-    }
-
     /// The acceptance criterion of the API redesign: a hand-written SPARQL
     /// string executes on all six engine × layout configurations and
     /// returns *decoded*, identical term strings.
@@ -684,7 +638,7 @@ mod tests {
         let ds = dataset();
         let q = "SELECT ?s ?l WHERE { ?s <type> <Text> . ?s <lang> ?l }";
         let mut reference: Option<Vec<Vec<String>>> = None;
-        for config in all_configs() {
+        for config in StoreConfig::paper_matrix() {
             let label = config.label();
             let db = Database::open(ds.clone(), config).expect("opens");
             let results = db.query(q).unwrap_or_else(|e| panic!("{label}: {e}"));
@@ -792,7 +746,7 @@ mod tests {
         let ds = dataset();
         let q = "SELECT ?s ?l WHERE { ?s <type> <Text> . ?s <lang> ?l }";
         let mut reference: Option<Vec<Vec<String>>> = None;
-        for config in all_configs() {
+        for config in StoreConfig::paper_matrix() {
             let label = config.label();
             let db = Database::open(ds.clone(), config).expect("opens");
             db.insert([("<s4>", "<type>", "<Text>"), ("<s4>", "<lang>", "\"deu\"")])
@@ -893,7 +847,7 @@ mod tests {
     /// every write-store state.
     #[test]
     fn explain_text_ends_with_the_verification_footer() {
-        for config in all_configs() {
+        for config in StoreConfig::paper_matrix() {
             let label = config.label();
             let db = Database::open(dataset(), config).expect("opens");
             let q = "SELECT ?s ?l WHERE { ?s <type> <Text> . ?s <lang> ?l }";
@@ -910,6 +864,102 @@ mod tests {
             // `explain` runs the same check and still returns the plan.
             db.explain(q).unwrap_or_else(|e| panic!("{label}: {e}"));
         }
+    }
+
+    /// EXPLAIN ANALYZE measures every node on the version the plan was
+    /// compiled against, even when a commit lands mid-call. The engine
+    /// below forces that interleaving deterministically: its first
+    /// execution commits a matching row into its own database before
+    /// answering.
+    #[test]
+    fn explain_analyze_measures_every_node_on_one_snapshot() {
+        use crate::engine::{Engine, Footprint};
+        use crate::store::EngineKind;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{OnceLock, Weak};
+        use swans_storage::StorageManager;
+
+        struct CommitsMidRead {
+            inner: Box<dyn Engine>,
+            db: Arc<OnceLock<Weak<Database>>>,
+            fired: Arc<AtomicBool>,
+        }
+        impl Engine for CommitsMidRead {
+            fn name(&self) -> &'static str {
+                "commits-mid-read"
+            }
+            fn load(
+                &mut self,
+                storage: &StorageManager,
+                dataset: &Dataset,
+                layout: Layout,
+                compression: bool,
+            ) -> Result<(), crate::EngineError> {
+                self.inner.load(storage, dataset, layout, compression)
+            }
+            fn execute(
+                &self,
+                plan: &Plan,
+                budget: &QueryBudget,
+            ) -> Result<ResultSet, crate::EngineError> {
+                if let Some(db) = self.db.get().and_then(Weak::upgrade) {
+                    if !self.fired.swap(true, Ordering::SeqCst) {
+                        db.insert([("<s9>", "<type>", "<Text>")]).expect("commits");
+                    }
+                }
+                self.inner.execute(plan, budget)
+            }
+            fn footprint(&self) -> Footprint {
+                self.inner.footprint()
+            }
+            fn apply(
+                &mut self,
+                storage: &StorageManager,
+                delta: &Delta,
+            ) -> Result<(), crate::EngineError> {
+                self.inner.apply(storage, delta)
+            }
+            fn explain_context(&self) -> PropsContext {
+                self.inner.explain_context()
+            }
+            fn fork(&self) -> Box<dyn Engine> {
+                Box::new(Self {
+                    inner: self.inner.fork(),
+                    db: self.db.clone(),
+                    fired: self.fired.clone(),
+                })
+            }
+        }
+
+        let hook = Arc::new(OnceLock::new());
+        let engine = CommitsMidRead {
+            inner: EngineKind::Column.create(),
+            db: hook.clone(),
+            fired: Arc::default(),
+        };
+        let db = Arc::new(
+            Database::open_with_engine(
+                dataset(),
+                StoreConfig::column(Layout::VerticallyPartitioned),
+                Box::new(engine),
+            )
+            .expect("opens"),
+        );
+        hook.set(Arc::downgrade(&db)).expect("set once");
+
+        let q = "SELECT ?s WHERE { ?s <type> <Text> }";
+        let text = db.explain_analyze(q).expect("analyzes");
+        assert_eq!(db.query(q).expect("queries").len(), 3, "commit landed");
+        let actuals: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.split("actual_rows=").nth(1))
+            .map(|rest| rest.split(|c: char| !c.is_ascii_digit()).next().unwrap())
+            .collect();
+        assert!(actuals.len() >= 2, "several measured nodes:\n{text}");
+        assert!(
+            actuals.iter().all(|&n| n == "2"),
+            "every node measured on the pre-commit version:\n{text}"
+        );
     }
 
     /// `with_verify` reaches the engine: execution still answers queries
@@ -945,9 +995,8 @@ mod tests {
         use swans_plan::naive;
         use swans_storage::StorageManager;
 
-        /// Read-only engine: keeps the default (declining) write path and
-        /// the default (absent) snapshot fork — reads go through the
-        /// writer lock.
+        /// Read-only engine: keeps the default (declining) write path.
+        #[derive(Clone)]
         struct ReadOnlyEngine {
             triples: Vec<swans_rdf::Triple>,
         }
@@ -965,7 +1014,12 @@ mod tests {
                 self.triples = dataset.triples.clone();
                 Ok(())
             }
-            fn execute(&self, plan: &Plan) -> Result<ResultSet, crate::EngineError> {
+            fn execute(
+                &self,
+                plan: &Plan,
+                budget: &QueryBudget,
+            ) -> Result<ResultSet, crate::EngineError> {
+                budget.check()?;
                 Ok(ResultSet::new(
                     naive::execute(plan, &self.triples),
                     plan.output_kinds(),
@@ -977,6 +1031,9 @@ mod tests {
                     property_tables: 0,
                 }
             }
+            fn fork(&self) -> Box<dyn Engine> {
+                Box::new(self.clone())
+            }
         }
 
         let db = Database::open_with_engine(
@@ -985,12 +1042,9 @@ mod tests {
             Box::new(ReadOnlyEngine { triples: vec![] }),
         )
         .expect("loads");
-        // No fork: sessions are unavailable, plain queries still answer.
-        assert!(db.session().is_err());
-        assert!(!db.snapshot().isolated());
         assert_eq!(
             db.query("SELECT ?s WHERE { ?s <type> <Text> }")
-                .expect("fallback reads work")
+                .expect("reads work")
                 .len(),
             2
         );
@@ -1073,7 +1127,7 @@ mod tests {
             vec!["<s1>".to_string(), "\"fre\"".to_string()],
             vec!["<s4>".to_string(), "\"deu\"".to_string()],
         ];
-        for config in all_configs() {
+        for config in StoreConfig::paper_matrix() {
             let label = config.label();
             let db = Database::open_at(&dir, config).unwrap_or_else(|e| panic!("{label}: {e}"));
             let report = db.recovery_report().expect("durable");

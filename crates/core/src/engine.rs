@@ -53,26 +53,14 @@ pub trait Engine: Send + Sync {
         compression: bool,
     ) -> Result<(), EngineError>;
 
-    /// Executes a logical plan, returning the (still encoded) result set.
-    fn execute(&self, plan: &Plan) -> Result<ResultSet, EngineError>;
-
-    /// Executes a logical plan under a [`QueryBudget`]: the engine checks
-    /// the budget cooperatively (deadline, memory limit, external cancel)
-    /// and returns [`EngineError::Cancelled`] instead of running to
-    /// completion when it expires. Both built-in engines check per
-    /// operator and per morsel / per N rows; the default checks only
-    /// before and after [`Engine::execute`], which still honors deadlines
-    /// and cancellation between plans for engines that never override it.
-    fn execute_budgeted(
-        &self,
-        plan: &Plan,
-        budget: &QueryBudget,
-    ) -> Result<ResultSet, EngineError> {
-        budget.check()?;
-        let result = self.execute(plan);
-        budget.check()?;
-        result
-    }
+    /// Executes a logical plan under a [`QueryBudget`], returning the
+    /// (still encoded) result set. The engine checks the budget
+    /// cooperatively (deadline, memory limit, external cancel) and
+    /// returns [`EngineError::Cancelled`] instead of running to
+    /// completion when it expires — both built-in engines check per
+    /// operator and per morsel / per N rows. An ungoverned call passes
+    /// [`QueryBudget::unlimited`]: there is no second, unbudgeted path.
+    fn execute(&self, plan: &Plan, budget: &QueryBudget) -> Result<ResultSet, EngineError>;
 
     /// What this engine currently has loaded.
     fn footprint(&self) -> Footprint;
@@ -150,12 +138,9 @@ pub trait Engine: Send + Sync {
     /// publishes the fork as the readable version.
     ///
     /// The column engine forks zero-copy (its sorted runs are immutable
-    /// `Arc`s); the row engine deep-copies its trees. The default returns
-    /// `None`: a third-party engine without fork support still works, but
-    /// reads fall back to the writer lock (serialized, not isolated).
-    fn fork(&self) -> Option<Box<dyn Engine>> {
-        None
-    }
+    /// `Arc`s); the row engine deep-copies its trees. Required: every
+    /// read runs on a fork, so readers never take the writer lock.
+    fn fork(&self) -> Box<dyn Engine>;
 
     /// Named execution counters (kernel dispatches, merges, ...) since
     /// this engine instance was created or last reset — the auditable form
@@ -199,16 +184,7 @@ impl Engine for RowEngine {
         Ok(())
     }
 
-    fn execute(&self, plan: &Plan) -> Result<ResultSet, EngineError> {
-        let rows = RowEngine::execute(self, plan)?;
-        Ok(ResultSet::new(rows, plan.output_kinds()))
-    }
-
-    fn execute_budgeted(
-        &self,
-        plan: &Plan,
-        budget: &QueryBudget,
-    ) -> Result<ResultSet, EngineError> {
+    fn execute(&self, plan: &Plan, budget: &QueryBudget) -> Result<ResultSet, EngineError> {
         let rows = RowEngine::execute_budgeted(self, plan, budget)?;
         Ok(ResultSet::new(rows, plan.output_kinds()))
     }
@@ -224,8 +200,8 @@ impl Engine for RowEngine {
         RowEngine::apply(self, storage, delta)
     }
 
-    fn fork(&self) -> Option<Box<dyn Engine>> {
-        Some(Box::new(self.clone()))
+    fn fork(&self) -> Box<dyn Engine> {
+        Box::new(self.clone())
     }
 }
 
@@ -252,20 +228,12 @@ impl Engine for ColumnEngine {
         Ok(())
     }
 
-    fn execute(&self, plan: &Plan) -> Result<ResultSet, EngineError> {
-        // `execute_rows` is the result boundary of compressed execution:
-        // columns that stayed run-encoded through the whole plan expand
-        // here (counted in the engine's `runs_expanded` statistic).
-        let rows = ColumnEngine::execute_rows(self, plan)?;
-        Ok(ResultSet::new(rows, plan.output_kinds()))
-    }
-
-    fn execute_budgeted(
-        &self,
-        plan: &Plan,
-        budget: &QueryBudget,
-    ) -> Result<ResultSet, EngineError> {
-        let rows = ColumnEngine::execute_rows_budgeted(self, plan, budget)?;
+    fn execute(&self, plan: &Plan, budget: &QueryBudget) -> Result<ResultSet, EngineError> {
+        // The row-major decode is the result boundary of compressed
+        // execution: columns that stayed run-encoded through the whole
+        // plan expand here (counted in the engine's `runs_expanded`
+        // statistic).
+        let rows = ColumnEngine::execute_budgeted(self, plan, budget)?;
         Ok(ResultSet::new(rows, plan.output_kinds()))
     }
 
@@ -308,36 +276,12 @@ impl Engine for ColumnEngine {
         self.props_ctx()
     }
 
-    fn fork(&self) -> Option<Box<dyn Engine>> {
-        Some(Box::new(ColumnEngine::fork(self)))
+    fn fork(&self) -> Box<dyn Engine> {
+        Box::new(ColumnEngine::fork(self))
     }
 
     fn stat_counters(&self) -> Vec<(&'static str, u64)> {
-        let s = self.exec_stats();
-        vec![
-            ("merge_joins", s.merge_joins),
-            ("hash_joins", s.hash_joins),
-            ("leapfrog_dispatches", s.leapfrog_dispatches),
-            ("sorted_group_counts", s.sorted_group_counts),
-            ("hash_group_counts", s.hash_group_counts),
-            ("sorted_distincts", s.sorted_distincts),
-            ("sort_distincts", s.sort_distincts),
-            ("distinct_passthroughs", s.distinct_passthroughs),
-            ("sorted_selects", s.sorted_selects),
-            ("rle_selects", s.rle_selects),
-            ("sorted_in_selects", s.sorted_in_selects),
-            ("delta_union_scans", s.delta_union_scans),
-            ("merges", s.merges),
-            ("parallel_tasks", s.parallel_tasks),
-            ("morsels", s.morsels),
-            ("run_scans", s.run_scans),
-            ("run_kernel_dispatches", s.run_kernel_dispatches),
-            ("runs_expanded", s.runs_expanded),
-            ("scan_bytes_compressed", s.scan_bytes_compressed),
-            ("scan_bytes_logical", s.scan_bytes_logical),
-            ("cancelled_queries", s.cancelled_queries),
-            ("peak_mem_bytes", s.peak_mem_bytes),
-        ]
+        self.exec_stats().named()
     }
 }
 
@@ -370,7 +314,10 @@ mod tests {
             assert!(fp.has_triple_store, "{}", engine.name());
             assert_eq!(fp.property_tables, 0);
 
-            let rs = engine.execute(&scan_all()).expect("scan executes");
+            let unlimited = QueryBudget::unlimited();
+            let rs = engine
+                .execute(&scan_all(), &unlimited)
+                .expect("scan executes");
             assert_eq!(rs.len(), 3, "{}", engine.name());
 
             // The other layout was never loaded: typed error, no panic.
@@ -381,7 +328,7 @@ mod tests {
                 emit_property: false,
             };
             assert_eq!(
-                engine.execute(&vp_scan).unwrap_err(),
+                engine.execute(&vp_scan, &unlimited).unwrap_err(),
                 EngineError::MissingVerticalLayout,
                 "{}",
                 engine.name()

@@ -41,18 +41,9 @@ pub struct Snapshot {
     pub(crate) dataset: Arc<Dataset>,
     pub(crate) config: StoreConfig,
     pub(crate) storage: StorageManager,
-    /// The engine fork answering this version's queries; `None` when the
-    /// engine does not support forking (reads then fall back to the
-    /// writer lock at the [`Database`](crate::Database) level).
-    pub(crate) engine: Option<Arc<dyn Engine>>,
+    /// The engine fork answering this version's queries.
+    pub(crate) engine: Arc<dyn Engine>,
     pub(crate) pending: usize,
-}
-
-/// The typed error for engines without snapshot support.
-pub(crate) fn no_fork_error() -> Error {
-    Error::Engine(EngineError::Unsupported(
-        "engine has no snapshot fork: reads go through the writer lock".into(),
-    ))
 }
 
 /// Compiles SPARQL for a layout: parse → plan → optimize → lower.
@@ -77,7 +68,7 @@ pub(crate) fn run_plan_on(
 ) -> Result<QueryRun, EngineError> {
     let io_before = storage.stats();
     let start = Instant::now();
-    let rows = engine.execute(plan)?.into_ids();
+    let rows = engine.execute(plan, &QueryBudget::unlimited())?.into_ids();
     let user_seconds = start.elapsed().as_secs_f64();
     let io = storage.stats().since(&io_before);
     Ok(QueryRun {
@@ -111,66 +102,55 @@ impl Snapshot {
         self.pending
     }
 
-    /// Whether this snapshot carries its own engine fork — `false` only
-    /// for third-party engines without [`Engine::fork`] support.
-    pub fn isolated(&self) -> bool {
-        self.engine.is_some()
-    }
-
-    fn engine(&self) -> Result<&dyn Engine, Error> {
-        self.engine.as_deref().ok_or_else(no_fork_error)
-    }
-
-    /// Parses, plans and executes a SPARQL query against *this* version.
-    pub fn query(&self, sparql: &str) -> Result<ResultSet, Error> {
+    /// The one read body — compile, execute on `engine`, decorate —
+    /// shared by the snapshot's own fork and a [`Session`]'s private one.
+    fn query_on(
+        &self,
+        engine: &dyn Engine,
+        sparql: &str,
+        budget: &QueryBudget,
+    ) -> Result<ResultSet, Error> {
         let compiled = compile(&self.dataset, &self.config, sparql)?;
-        let results = self.engine()?.execute(&compiled.plan)?;
-        Ok(results
-            .with_columns(compiled.columns)
-            .with_dataset(self.dataset.clone()))
+        let results = self.execute_on(engine, &compiled.plan, budget)?;
+        Ok(results.with_columns(compiled.columns))
     }
 
-    /// [`Snapshot::query`] under a resource budget: the deadline,
-    /// cancellation token, and memory limit in `budget` are checked
-    /// cooperatively throughout execution; a tripped budget surfaces as
-    /// [`EngineError::Cancelled`] (wrapped in
-    /// [`Error::Engine`]) — never a panic, and the snapshot pin is
-    /// released as usual when the caller drops its handles.
-    pub fn query_budgeted(&self, sparql: &str, budget: &QueryBudget) -> Result<ResultSet, Error> {
-        let compiled = compile(&self.dataset, &self.config, sparql)?;
-        let results = self.engine()?.execute_budgeted(&compiled.plan, budget)?;
-        Ok(results
-            .with_columns(compiled.columns)
-            .with_dataset(self.dataset.clone()))
-    }
-
-    /// Executes a raw logical plan against this version.
-    pub fn execute_plan(&self, plan: &Plan) -> Result<ResultSet, Error> {
-        let results = self.engine()?.execute(plan)?;
+    fn execute_on(
+        &self,
+        engine: &dyn Engine,
+        plan: &Plan,
+        budget: &QueryBudget,
+    ) -> Result<ResultSet, Error> {
+        let results = engine.execute(plan, budget)?;
         Ok(results.with_dataset(self.dataset.clone()))
     }
 
-    /// [`Snapshot::execute_plan`] under a resource budget — see
-    /// [`Snapshot::query_budgeted`].
+    /// Parses, plans and executes a SPARQL query against *this* version
+    /// under a resource budget: the deadline, cancellation token, and
+    /// memory limit in `budget` are checked cooperatively throughout
+    /// execution; a tripped budget surfaces as
+    /// [`EngineError::Cancelled`] (wrapped in [`Error::Engine`]) — never
+    /// a panic, and the snapshot pin is released as usual when the
+    /// caller drops its handles. Pass [`QueryBudget::unlimited`] for an
+    /// ungoverned query.
+    pub fn query_budgeted(&self, sparql: &str, budget: &QueryBudget) -> Result<ResultSet, Error> {
+        self.query_on(self.engine.as_ref(), sparql, budget)
+    }
+
+    /// Executes a raw logical plan against this version under a resource
+    /// budget — see [`Snapshot::query_budgeted`].
     pub fn execute_plan_budgeted(
         &self,
         plan: &Plan,
         budget: &QueryBudget,
     ) -> Result<ResultSet, Error> {
-        let results = self.engine()?.execute_budgeted(plan, budget)?;
-        Ok(results.with_dataset(self.dataset.clone()))
+        self.execute_on(self.engine.as_ref(), plan, budget)
     }
 
     /// Executes a plan under the measurement protocol (see
     /// [`QueryRun`]'s caveat on I/O attribution under concurrency).
     pub fn run_plan(&self, plan: &Plan) -> Result<QueryRun, Error> {
-        Ok(run_plan_on(self.engine()?, &self.storage, plan)?)
-    }
-
-    /// Runs benchmark query `q` against this version.
-    pub fn run_benchmark(&self, q: QueryId, ctx: &QueryContext) -> Result<QueryRun, Error> {
-        let plan = build_plan(q, self.config.layout.scheme(), ctx);
-        self.run_plan(&plan)
+        Ok(run_plan_on(self.engine.as_ref(), &self.storage, plan)?)
     }
 }
 
@@ -180,7 +160,6 @@ impl std::fmt::Debug for Snapshot {
             .field("version", &self.version)
             .field("triples", &self.dataset.len())
             .field("pending", &self.pending)
-            .field("isolated", &self.isolated())
             .finish()
     }
 }
@@ -202,13 +181,9 @@ pub struct Session {
 }
 
 impl Session {
-    pub(crate) fn pin(snapshot: Arc<Snapshot>) -> Result<Self, Error> {
-        let engine = snapshot
-            .engine
-            .as_ref()
-            .and_then(|e| e.fork())
-            .ok_or_else(no_fork_error)?;
-        Ok(Self { snapshot, engine })
+    pub(crate) fn pin(snapshot: Arc<Snapshot>) -> Self {
+        let engine = snapshot.engine.fork();
+        Self { snapshot, engine }
     }
 
     /// The pinned snapshot.
@@ -226,65 +201,41 @@ impl Session {
         &self.snapshot.dataset
     }
 
-    /// Parses, plans and executes a SPARQL query against the pinned
-    /// version, on this session's private engine fork.
+    /// [`Session::query_budgeted`] without a budget.
     pub fn query(&self, sparql: &str) -> Result<ResultSet, Error> {
-        let snap = &self.snapshot;
-        let compiled = compile(&snap.dataset, &snap.config, sparql)?;
-        let results = self.engine.execute(&compiled.plan)?;
-        Ok(results
-            .with_columns(compiled.columns)
-            .with_dataset(snap.dataset.clone()))
+        self.query_budgeted(sparql, &QueryBudget::unlimited())
     }
 
-    /// [`Session::query`] under the measurement protocol: also reports
-    /// timing and I/O (see [`QueryRun`]'s attribution caveat — the I/O
-    /// window is database-global, the user time is this session's own).
-    pub fn query_timed(&self, sparql: &str) -> Result<(ResultSet, QueryRun), Error> {
-        let snap = &self.snapshot;
-        let compiled = compile(&snap.dataset, &snap.config, sparql)?;
-        let mut run = run_plan_on(self.engine.as_ref(), &snap.storage, &compiled.plan)?;
-        let rows = std::mem::take(&mut run.rows);
-        let results = ResultSet::new(rows, compiled.plan.output_kinds())
-            .with_columns(compiled.columns)
-            .with_dataset(snap.dataset.clone());
-        Ok((results, run))
-    }
-
-    /// [`Session::query`] under a resource budget: the deadline,
-    /// cancellation token, and memory limit in `budget` are checked
-    /// cooperatively throughout execution on this session's private
-    /// fork; a tripped budget surfaces as
-    /// [`EngineError::Cancelled`] — never a
+    /// Parses, plans and executes a SPARQL query against the pinned
+    /// version, on this session's private engine fork, under a resource
+    /// budget: the deadline, cancellation token, and memory limit in
+    /// `budget` are checked cooperatively throughout execution; a
+    /// tripped budget surfaces as [`EngineError::Cancelled`] — never a
     /// panic, and the session (with its snapshot pin) stays usable for
     /// further queries.
     pub fn query_budgeted(&self, sparql: &str, budget: &QueryBudget) -> Result<ResultSet, Error> {
-        let snap = &self.snapshot;
-        let compiled = compile(&snap.dataset, &snap.config, sparql)?;
-        let results = self.engine.execute_budgeted(&compiled.plan, budget)?;
-        Ok(results
-            .with_columns(compiled.columns)
-            .with_dataset(snap.dataset.clone()))
+        self.snapshot.query_on(self.engine.as_ref(), sparql, budget)
     }
 
-    /// Executes a raw logical plan against the pinned version.
+    /// [`Session::execute_plan_budgeted`] without a budget.
     pub fn execute_plan(&self, plan: &Plan) -> Result<ResultSet, Error> {
-        let results = self.engine.execute(plan)?;
-        Ok(results.with_dataset(self.snapshot.dataset.clone()))
+        self.execute_plan_budgeted(plan, &QueryBudget::unlimited())
     }
 
-    /// [`Session::execute_plan`] under a resource budget — see
-    /// [`Session::query_budgeted`].
+    /// Executes a raw logical plan against the pinned version under a
+    /// resource budget — see [`Session::query_budgeted`].
     pub fn execute_plan_budgeted(
         &self,
         plan: &Plan,
         budget: &QueryBudget,
     ) -> Result<ResultSet, Error> {
-        let results = self.engine.execute_budgeted(plan, budget)?;
-        Ok(results.with_dataset(self.snapshot.dataset.clone()))
+        self.snapshot.execute_on(self.engine.as_ref(), plan, budget)
     }
 
-    /// Runs benchmark query `q` against the pinned version.
+    /// Runs benchmark query `q` against the pinned version under the
+    /// measurement protocol (see [`QueryRun`]'s attribution caveat — the
+    /// I/O window is database-global, the user time is this session's
+    /// own).
     pub fn run_benchmark(&self, q: QueryId, ctx: &QueryContext) -> Result<QueryRun, Error> {
         let plan = build_plan(q, self.snapshot.config.layout.scheme(), ctx);
         Ok(run_plan_on(

@@ -7,7 +7,7 @@
 
 use swans_colstore::ColumnEngine;
 use swans_plan::algebra::Plan;
-use swans_plan::exec::{EngineError, QueryBudget};
+use swans_plan::exec::EngineError;
 use swans_plan::queries::{build_plan, QueryContext, QueryId, Scheme};
 use swans_rdf::{Dataset, SortOrder};
 use swans_rowstore::RowEngine;
@@ -15,7 +15,6 @@ use swans_storage::{IoStats, MachineProfile, StorageManager};
 
 use crate::engine::Engine;
 use crate::error::Error;
-use crate::result::ResultSet;
 
 /// Which engine architecture executes the queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,6 +131,22 @@ impl StoreConfig {
             threads: 1,
             verify: None,
         }
+    }
+
+    /// The paper's evaluation matrix (Tables 6–7): {row, column} engine ×
+    /// {triple/SPO, triple/PSO, vert/SO} layout, row engine first — the
+    /// six configurations every equivalence suite sweeps.
+    pub fn paper_matrix() -> Vec<Self> {
+        let layouts = [
+            Layout::TripleStore(SortOrder::Spo),
+            Layout::TripleStore(SortOrder::Pso),
+            Layout::VerticallyPartitioned,
+        ];
+        layouts
+            .into_iter()
+            .map(Self::row)
+            .chain(layouts.into_iter().map(Self::column))
+            .collect()
     }
 
     /// Overrides the machine profile.
@@ -342,35 +357,10 @@ impl RdfStore {
         self.engine.merges()
     }
 
-    /// The physical-property context EXPLAIN annotations should use for
-    /// this store's engine state.
-    pub fn explain_context(&self) -> swans_plan::props::PropsContext {
-        self.engine.explain_context()
-    }
-
     /// A snapshot fork of the engine (see [`Engine::fork`]): an
     /// independent reader answering exactly the store's current state.
-    /// `None` for engines without fork support.
-    pub fn fork_engine(&self) -> Option<Box<dyn Engine>> {
+    pub fn fork_engine(&self) -> Box<dyn Engine> {
         self.engine.fork()
-    }
-
-    /// Executes a raw logical plan (no timing), returning the encoded
-    /// result set.
-    pub fn execute_plan(&self, plan: &Plan) -> Result<ResultSet, EngineError> {
-        self.engine.execute(plan)
-    }
-
-    /// [`RdfStore::execute_plan`] under a resource budget: the deadline,
-    /// cancellation token, and memory limit in `budget` are honoured
-    /// cooperatively by the engine; a tripped budget surfaces as
-    /// [`EngineError::Cancelled`].
-    pub fn execute_plan_budgeted(
-        &self,
-        plan: &Plan,
-        budget: &QueryBudget,
-    ) -> Result<ResultSet, EngineError> {
-        self.engine.execute_budgeted(plan, budget)
     }
 
     /// Executes an arbitrary plan under the measurement protocol.
@@ -399,6 +389,7 @@ impl RdfStore {
 mod tests {
     use super::*;
     use swans_datagen::{generate, BartonConfig};
+    use swans_plan::exec::QueryBudget;
     use swans_plan::naive;
 
     fn dataset() -> Dataset {
@@ -416,17 +407,9 @@ mod tests {
     fn all_configurations_agree() {
         let ds = dataset();
         let ctx = QueryContext::from_dataset(&ds, 28);
-        let configs = [
-            StoreConfig::row(Layout::TripleStore(SortOrder::Spo)),
-            StoreConfig::row(Layout::TripleStore(SortOrder::Pso)),
-            StoreConfig::row(Layout::VerticallyPartitioned),
-            StoreConfig::column(Layout::TripleStore(SortOrder::Spo)),
-            StoreConfig::column(Layout::TripleStore(SortOrder::Pso)),
-            StoreConfig::column(Layout::VerticallyPartitioned),
-        ];
-        let stores: Vec<RdfStore> = configs
-            .iter()
-            .map(|c| RdfStore::load(&ds, c.clone()))
+        let stores: Vec<RdfStore> = StoreConfig::paper_matrix()
+            .into_iter()
+            .map(|c| RdfStore::load(&ds, c))
             .collect();
         for q in QueryId::ALL {
             let reference = crate::normalize_result(
@@ -540,6 +523,7 @@ mod tests {
 
         /// A trivial engine that keeps the triples in a Vec and answers
         /// through the naive executor.
+        #[derive(Clone)]
         struct NaiveEngine {
             triples: Vec<swans_rdf::Triple>,
         }
@@ -557,7 +541,8 @@ mod tests {
                 self.triples = dataset.triples.clone();
                 Ok(())
             }
-            fn execute(&self, plan: &Plan) -> Result<ResultSet, EngineError> {
+            fn execute(&self, plan: &Plan, budget: &QueryBudget) -> Result<ResultSet, EngineError> {
+                budget.check()?;
                 plan.validate().map_err(EngineError::InvalidPlan)?;
                 Ok(ResultSet::new(
                     naive::execute(plan, &self.triples),
@@ -569,6 +554,9 @@ mod tests {
                     has_triple_store: true,
                     property_tables: 0,
                 }
+            }
+            fn fork(&self) -> Box<dyn Engine> {
+                Box::new(self.clone())
             }
         }
 

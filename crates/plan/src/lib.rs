@@ -33,7 +33,8 @@
 //! * [`mod@optimize`] — a rule-based rewriter (selection pushdown into scans,
 //!   through unions, joins and projections) plus cost-based join
 //!   enumeration ([`optimize::optimize_cbo`]) with the older order-aware
-//!   rotation kept as the statistics-free fallback,
+//!   rotation kept as its cost baseline and its fallback for chains it
+//!   declines to enumerate,
 //! * [`lower`] — scheme lowering: any triple-store plan rewritten for the
 //!   vertically-partitioned layout (the generalized "Perl script"),
 //! * [`sparql`] — a miniature SPARQL front-end compiling

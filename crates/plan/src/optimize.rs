@@ -15,8 +15,9 @@
 //! 3. **Selection pushdown through joins** — a filter lands on whichever
 //!    join side owns the column.
 //! 4. **Order-aware join reordering** ([`reorder_joins`], applied by
-//!    [`optimize_for`] and by the column engine at execution time — *not*
-//!    by the engine-agnostic [`optimize`]) — a left-deep join chain that
+//!    [`optimize_for`] and, as [`optimize_cbo`]'s baseline, by the column
+//!    engine at execution time — *not* by the engine-agnostic
+//!    [`optimize`]) — a left-deep join chain that
 //!    joins the same column of its base relation twice is rotated so that
 //!    the *sorted–sorted* pair joins first, turning a hash join into the
 //!    linear merge join the sorted layouts were built for (see
@@ -44,8 +45,10 @@
 //! [`Plan::LeapfrogJoin`]. The final pick between the enumerated order,
 //! the leapfrog form and the old rotation is made by the *real* cost
 //! function, so the enumerated plan never prices above the heuristic's.
-//! [`reorder_joins`] remains available as the statistics-free fallback the
-//! engine uses when cost-based optimization is disabled (`set_cbo(false)`).
+//! [`reorder_joins`] stays load-bearing inside the enumerator: it is the
+//! cost baseline the hysteresis margins are measured against, and the
+//! plan returned for chains enumeration declines (more than
+//! `MAX_DP_LEAVES` relations, cyclic or cross-product condition graphs).
 
 use crate::algebra::{CmpOp, Plan, Predicate};
 use crate::cost::{cost, distinct_estimate, estimate_rows};
@@ -56,7 +59,8 @@ use crate::props::{derive, PhysProps, PropsContext};
 ///
 /// Purely logical and engine-agnostic — the physical order-aware join
 /// reordering is *not* applied here (a rotation only pays on an executor
-/// with merge joins; the column engine runs it itself at execution time).
+/// with merge joins; the column engine runs [`optimize_cbo`] itself at
+/// execution time).
 /// Use [`optimize_for`] to also reorder when the target layout is known.
 pub fn optimize(plan: Plan) -> Plan {
     let rewritten = rewrite(plan);

@@ -573,22 +573,17 @@ fn request_budget(config: &ServeConfig, deadline: Instant) -> QueryBudget {
     budget
 }
 
-/// Executes on a pinned per-request session when the engine supports
-/// snapshot forks; falls back to the database's writer-lock read path
-/// otherwise. Either way the reported `version` is the one answered
-/// from, and the request's budget (deadline + memory limit) rides along:
-/// a cancelled query answers `503` so the client knows to back off.
+/// Executes on a pinned per-request session: the reported `version` is
+/// the one answered from, and the request's budget (deadline + memory
+/// limit) rides along — a cancelled query answers `503` so the client
+/// knows to back off.
 fn run_query(shared: &Shared, sparql: &str, deadline: Instant) -> (&'static str, String) {
     let db = &shared.db;
     let budget = request_budget(&shared.config, deadline);
-    let outcome = match db.session() {
-        Ok(session) => session
-            .query_budgeted(sparql, &budget)
-            .map(|r| (session.version(), r)),
-        Err(_) => db
-            .query_budgeted(sparql, &budget)
-            .map(|r| (db.snapshot().version(), r)),
-    };
+    let outcome = db.session().and_then(|session| {
+        let results = session.query_budgeted(sparql, &budget)?;
+        Ok((session.version(), results))
+    });
     shared
         .peak_mem_bytes
         .fetch_max(budget.peak_mem_bytes(), Ordering::AcqRel);

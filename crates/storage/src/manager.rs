@@ -156,7 +156,7 @@ impl StorageManager {
     /// benchmarks: a thread answering a query over non-resident data
     /// genuinely blocks (as it would on a real disk), so concurrent
     /// requests overlap their I/O waits and throughput scales with client
-    /// count even on a single core — the axis `bench_serve` measures.
+    /// count even on a single core.
     /// `scale` compresses wall time (e.g. `0.1` = one simulated second
     /// sleeps 100 ms) so experiments finish quickly.
     pub fn set_realtime_io(&self, scale: f64) {

@@ -1,26 +1,26 @@
-//! Compressed-execution determinism: every benchmark query on every
-//! engine × layout configuration produces identical (order-normalized)
-//! results with run-encoded execution on and off — at pool widths 1, 2
-//! and 8, on a clean store, with a non-empty write store pending, and
-//! after the merge. The column engine's run kernels are in fact
-//! *bit-identical* to their flat twins (same rows, same order); a second
-//! test pins that stronger property directly on the engine together with
-//! the dispatch accounting (run scans and run kernels genuinely fire on
-//! the compressed configurations, and compressed bytes undercut logical
-//! bytes).
+//! Compressed-execution correctness: every benchmark query on every
+//! engine × layout configuration — the column ones executing run-encoded
+//! — produces the reference executor's (order-normalized) answers at pool
+//! widths 1, 2 and 8, on a clean store, with a non-empty write store
+//! pending, and after the merge. A second test runs the column engine
+//! directly on run-shaped data and pins the dispatch accounting: run
+//! scans and run kernels genuinely fire on the compressed layouts, and
+//! compressed bytes undercut logical bytes.
 
-use swans_bench::updates::configs as all_configs;
 use swans_colstore::ColumnEngine;
-use swans_core::{normalize_result, Database, EngineKind, StoreConfig};
-use swans_plan::queries::{vocab, QueryContext, QueryId};
-use swans_rdf::Dataset;
+use swans_core::{normalize_result, Database, StoreConfig};
+use swans_plan::naive;
+use swans_plan::queries::{build_plan, vocab, QueryContext, QueryId, Scheme};
+use swans_rdf::{Dataset, Triple};
 
 /// Pool widths under test.
 const WIDTHS: [usize; 3] = [1, 2, 8];
 
 fn dataset() -> Dataset {
     swans_datagen::generate(&swans_datagen::BartonConfig {
-        scale: 0.0015, // ~75k triples: enough rows for real run shapes
+        // ~50k triples: enough rows for real run shapes, few enough for the
+        // reference executor's nested-loop joins.
+        scale: 0.001,
         seed: 53,
         n_properties: 40,
     })
@@ -59,27 +59,15 @@ fn mutation_batch(ds: &Dataset) -> (TermTriples, TermTriples) {
     (dels, ins)
 }
 
-/// One database per (configuration, width, run-kernels flag). Row-engine
-/// configurations have no run layer, so only the column configurations
-/// get a run-off twin — every store must agree with every other anyway.
+/// One database per (configuration, width).
 fn open_all(ds: &Dataset) -> Vec<(String, Database)> {
     let mut dbs = Vec::new();
-    for config in all_configs() {
+    for config in StoreConfig::paper_matrix() {
         for &w in &WIDTHS {
-            let c: StoreConfig = config.clone().with_threads(w);
+            let c = config.clone().with_threads(w);
             let label = format!("{} @{w}T", c.label());
-            dbs.push((
-                format!("{label} runs=on"),
-                Database::open(ds.clone(), c.clone()).expect(&label),
-            ));
-            if c.engine == EngineKind::Column {
-                let mut engine = ColumnEngine::new();
-                engine.set_run_kernels(false);
-                dbs.push((
-                    format!("{label} runs=off"),
-                    Database::open_with_engine(ds.clone(), c, Box::new(engine)).expect(&label),
-                ));
-            }
+            let db = Database::open(ds.clone(), c).expect(&label);
+            dbs.push((label, db));
         }
     }
     dbs
@@ -92,9 +80,20 @@ fn run_all(db: &Database, ctx: &QueryContext) -> Vec<Vec<Vec<u64>>> {
         .collect()
 }
 
+/// The reference executor's answers over `triples`, layout-free.
+fn reference(triples: &[Triple], ctx: &QueryContext) -> Vec<Vec<Vec<u64>>> {
+    QueryId::ALL
+        .iter()
+        .map(|&q| {
+            let plan = build_plan(q, Scheme::TripleStore, ctx);
+            normalize_result(q, naive::execute(&plan, triples))
+        })
+        .collect()
+}
+
 /// The acceptance criterion: 12 queries × 6 configurations × widths
-/// {1, 2, 8} × run kernels {on, off}, identical order-normalized answers —
-/// clean, with a pending (unmerged) write store, and after the merge.
+/// {1, 2, 8} answer like the reference executor — clean, with a pending
+/// (unmerged) write store, and after the merge.
 #[test]
 fn all_queries_agree_with_run_kernels_on_and_off() {
     let ds = dataset();
@@ -103,9 +102,9 @@ fn all_queries_agree_with_run_kernels_on_and_off() {
 
     // Clean store.
     let ctx = QueryContext::from_dataset(&ds, 28);
-    let reference = run_all(&dbs[0].1, &ctx);
-    for (label, db) in &dbs[1..] {
-        assert_eq!(run_all(db, &ctx), reference, "clean: {label} disagrees");
+    let clean = reference(&ds.triples, &ctx);
+    for (label, db) in &dbs {
+        assert_eq!(run_all(db, &ctx), clean, "clean: {label} disagrees");
     }
 
     // Non-empty write store pending: deletes then inserts, no merge.
@@ -123,16 +122,17 @@ fn all_queries_agree_with_run_kernels_on_and_off() {
         )
         .expect("inserts");
     }
-    let ctx = QueryContext::from_dataset(&dbs[0].1.dataset(), 28);
-    let pending_reference = run_all(&dbs[0].1, &ctx);
+    let mutated = dbs[0].1.dataset();
+    let ctx = QueryContext::from_dataset(&mutated, 28);
+    let pending = reference(&mutated.triples, &ctx);
     assert_ne!(
-        pending_reference, reference,
+        pending, clean,
         "the mutation batch must change some answer, or the pending leg is vacuous"
     );
-    for (label, db) in &dbs[1..] {
+    for (label, db) in &dbs {
         assert_eq!(
             run_all(db, &ctx),
-            pending_reference,
+            pending,
             "pending delta: {label} disagrees"
         );
     }
@@ -141,19 +141,14 @@ fn all_queries_agree_with_run_kernels_on_and_off() {
     for (label, db) in &mut dbs {
         db.merge().expect("merges");
         assert_eq!(db.pending_delta(), 0, "{label}");
-        assert_eq!(
-            run_all(db, &ctx),
-            pending_reference,
-            "post-merge: {label} disagrees"
-        );
+        assert_eq!(run_all(db, &ctx), pending, "post-merge: {label} disagrees");
     }
 }
 
-/// The stronger engine-level property: the run path's row stream is
-/// *bit-identical* to the flat path's (not just set-equal) on every
-/// column layout and width, and the dispatch counters prove the two
-/// paths really differ — run scans and run kernels fire with the layer
-/// on, never with it off, and the compressed bytes the run scans charge
+/// The engine-level property on run-shaped data: every column layout at
+/// every width answers like the reference executor, and the dispatch
+/// counters prove the run layer really is what answered — run scans and
+/// run kernels fire, and the compressed bytes the run scans charge
 /// undercut the logical bytes they replace.
 ///
 /// Barton properties are mostly single-valued (one object per subject
@@ -166,11 +161,14 @@ fn all_queries_agree_with_run_kernels_on_and_off() {
 /// compress either way.
 #[test]
 fn column_engine_run_path_is_bit_identical_to_flat_path() {
-    use swans_plan::queries::{build_plan, Scheme};
-    use swans_rdf::{SortOrder, Triple};
+    use swans_rdf::SortOrder;
     use swans_storage::{MachineProfile, StorageManager};
 
-    let base = dataset();
+    let base = swans_datagen::generate(&swans_datagen::BartonConfig {
+        scale: 0.0003,
+        seed: 53,
+        n_properties: 40,
+    });
     let ctx = QueryContext::from_dataset(&base, 28);
     // Multi-valued derivative: ids are opaque to the engine, so the extra
     // objects can live outside the dictionary. Five extra objects per
@@ -183,7 +181,7 @@ fn column_engine_run_path_is_bit_identical_to_flat_path() {
             triples.push(Triple::new(t.s, t.p, t.o.wrapping_add(k * 1_000_003)));
         }
     }
-    let ds = swans_rdf::Dataset { triples, ..base };
+    let want = reference(&triples, &ctx);
     let m = StorageManager::new(MachineProfile::B);
 
     for (layout_name, order, scheme) in [
@@ -194,30 +192,20 @@ fn column_engine_run_path_is_bit_identical_to_flat_path() {
         for &w in &WIDTHS {
             let mut run = ColumnEngine::new();
             run.set_threads(w);
-            let mut flat = ColumnEngine::new();
-            flat.set_run_kernels(false);
-            flat.set_threads(w);
             match order {
-                Some(o) => {
-                    run.load_triple_store(&m, &ds.triples, o, true);
-                    flat.load_triple_store(&m, &ds.triples, o, true);
-                }
-                None => {
-                    run.load_vertical(&m, &ds.triples, true);
-                    flat.load_vertical(&m, &ds.triples, true);
-                }
+                Some(o) => run.load_triple_store(&m, &triples, o, true),
+                None => run.load_vertical(&m, &triples, true),
             }
-            for q in QueryId::ALL {
+            for (q, want) in QueryId::ALL.into_iter().zip(&want) {
                 let plan = build_plan(q, scheme, &ctx);
-                let a = run.execute(&plan).expect("run path").to_rows();
-                let b = flat.execute(&plan).expect("flat path").to_rows();
+                let got = run.execute(&plan).expect("run path").to_rows();
                 assert_eq!(
-                    a, b,
-                    "{q}/{layout_name}@{w}T: run vs flat row stream differs"
+                    &normalize_result(q, got),
+                    want,
+                    "{q}/{layout_name}@{w}T: run path disagrees with the reference"
                 );
             }
             let rs = run.exec_stats();
-            let fs = flat.exec_stats();
             assert!(
                 rs.run_scans > 0 && rs.run_kernel_dispatches > 0,
                 "{layout_name}@{w}T: the run layer must actually fire: {rs:?}"
@@ -226,8 +214,6 @@ fn column_engine_run_path_is_bit_identical_to_flat_path() {
                 rs.scan_bytes_compressed < rs.scan_bytes_logical,
                 "{layout_name}@{w}T: {rs:?}"
             );
-            assert_eq!(fs.run_scans, 0, "{layout_name}@{w}T baseline: {fs:?}");
-            assert_eq!(fs.run_kernel_dispatches, 0);
         }
     }
 }

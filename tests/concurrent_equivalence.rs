@@ -21,7 +21,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use swans_bench::updates::configs as all_configs;
 use swans_core::{Database, StoreConfig};
 use swans_rdf::Dataset;
 
@@ -212,7 +211,7 @@ fn torture(db: &Database, config: &StoreConfig, label: &str) {
 /// in-memory.
 #[test]
 fn readers_observe_exact_prefixes_on_every_config_and_width() {
-    let configs = all_configs();
+    let configs = StoreConfig::paper_matrix();
     let (configs, widths): (Vec<StoreConfig>, &[usize]) = if quick() {
         (configs.into_iter().take(2).collect(), &WIDTHS[1..2])
     } else {

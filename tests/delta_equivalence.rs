@@ -4,8 +4,7 @@
 //! merge, and compared against a fresh bulk load of the same final data
 //! set (the ground truth the write path must be indistinguishable from).
 
-use swans_bench::updates::configs as all_configs;
-use swans_core::{normalize_result, Database};
+use swans_core::{normalize_result, Database, StoreConfig};
 use swans_plan::queries::{vocab, QueryContext, QueryId};
 use swans_rdf::Dataset;
 
@@ -89,7 +88,7 @@ fn interleaved_mutations_match_fresh_bulk_load_on_all_configs() {
     let ds = dataset();
     let batches = batches(&ds);
 
-    let mut dbs: Vec<Database> = all_configs()
+    let mut dbs: Vec<Database> = StoreConfig::paper_matrix()
         .into_iter()
         .map(|c| Database::open(ds.clone(), c).expect("opens"))
         .collect();

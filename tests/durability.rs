@@ -20,7 +20,6 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use swans_bench::updates::configs as all_configs;
 use swans_core::{normalize_result, Database, DurabilityOptions, Error, Layout, StoreConfig};
 use swans_plan::queries::{vocab, QueryId};
 use swans_rdf::{Dataset, SortOrder};
@@ -217,7 +216,7 @@ fn run_all(db: &Database, ctx: &swans_plan::queries::QueryContext) -> Vec<Vec<Ve
 /// bulk-loaded with the recovered data set cannot be told apart.
 fn verify_against_twins(dir: &Path) {
     let mut reference: Option<Vec<Vec<Vec<u64>>>> = None;
-    for config in all_configs() {
+    for config in StoreConfig::paper_matrix() {
         let db = Database::open_at(dir, config.clone()).expect("recovered dir reopens");
         let ctx = db.benchmark_context(28);
         let answers = run_all(&db, &ctx);

@@ -51,17 +51,6 @@ const BLOW_UPS: &[&str] = &[
 /// A cheap, well-behaved control query.
 const CONTROL: &str = "SELECT ?s ?v WHERE { ?s <q> ?v }";
 
-fn all_configs() -> Vec<StoreConfig> {
-    vec![
-        StoreConfig::row(Layout::TripleStore(SortOrder::Spo)),
-        StoreConfig::row(Layout::TripleStore(SortOrder::Pso)),
-        StoreConfig::row(Layout::VerticallyPartitioned),
-        StoreConfig::column(Layout::TripleStore(SortOrder::Spo)),
-        StoreConfig::column(Layout::TripleStore(SortOrder::Pso)),
-        StoreConfig::column(Layout::VerticallyPartitioned),
-    ]
-}
-
 /// Unwraps the `Cancelled` out of a query result, panicking (with
 /// context) on anything else.
 fn expect_cancelled(
@@ -87,7 +76,7 @@ fn expect_cancelled(
 #[test]
 fn budget_kills_are_typed_and_clean_on_all_six_configs() {
     let ds = skew_dataset(n_hot());
-    for config in all_configs() {
+    for config in StoreConfig::paper_matrix() {
         let label = config.label();
         let db = Database::open(ds.clone(), config).expect("opens");
         let session = db.session().expect("forks");

@@ -8,8 +8,7 @@
 //! together with the scratch-reuse accounting (morsels per partitioned
 //! batch ≫ 1).
 
-use swans_bench::updates::configs as all_configs;
-use swans_core::{normalize_result, Database};
+use swans_core::{normalize_result, Database, StoreConfig};
 use swans_plan::queries::{vocab, QueryContext, QueryId};
 use swans_rdf::Dataset;
 
@@ -83,7 +82,7 @@ fn all_queries_agree_on_every_config_at_every_width() {
 
     // One database per (configuration, width).
     let mut dbs: Vec<(String, Database)> = Vec::new();
-    for config in all_configs() {
+    for config in StoreConfig::paper_matrix() {
         for &w in &WIDTHS {
             let c = config.clone().with_threads(w);
             let label = format!("{} @{w}T", c.label());

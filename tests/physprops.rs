@@ -8,7 +8,8 @@
 //! naive executor. A second suite pins the dispatch itself: the benchmark's
 //! subject–subject vertically-partitioned joins must run through
 //! `ops::merge_join` (observed via the engine's kernel-dispatch counters),
-//! and the sorted paths must answer exactly like the hash baseline.
+//! and the sorted paths must answer exactly like the order-oblivious
+//! reference executor.
 
 use swans_colstore::ColumnEngine;
 use swans_datagen::rng::StdRng;
@@ -275,8 +276,8 @@ fn run_encoded_columns_only_flow_where_claimed() {
     assert!(actual_runs > 10, "only {actual_runs} run-encoded outputs");
 }
 
-/// Randomized A/B: the sorted dispatch layer returns exactly the hash
-/// baseline's answers.
+/// Randomized: the sorted dispatch layer returns exactly the answers of
+/// the reference executor's nested-loop joins and hash aggregation.
 #[test]
 fn sorted_and_hash_paths_agree_on_random_plans() {
     let mut rng = StdRng::seed_from_u64(0xAB_CDEF);
@@ -287,14 +288,10 @@ fn sorted_and_hash_paths_agree_on_random_plans() {
         let mut sorted = ColumnEngine::new();
         sorted.load_triple_store(&m, &triples, SortOrder::Pso, true);
         sorted.load_vertical(&m, &triples, true);
-        let mut hash = ColumnEngine::new();
-        hash.set_sorted_paths(false);
-        hash.load_triple_store(&m, &triples, SortOrder::Pso, true);
-        hash.load_vertical(&m, &triples, true);
         assert_eq!(
             naive::normalize(sorted.execute(&plan).expect("sorted").to_rows()),
-            naive::normalize(hash.execute(&plan).expect("hash").to_rows()),
-            "sorted/hash disagree on {plan:?}"
+            naive::normalize(naive::execute(&plan, &triples)),
+            "sorted paths and the reference disagree on {plan:?}"
         );
     }
 }
@@ -306,8 +303,8 @@ mod dispatch {
 
     /// The acceptance criterion: subject–subject joins on the
     /// vertically-partitioned layout run through `ops::merge_join`,
-    /// observed via the kernel-dispatch counters — and with the sorted
-    /// layer disabled they fall back to hashing with identical answers.
+    /// observed via the kernel-dispatch counters — with the reference
+    /// executor's answers.
     #[test]
     fn vp_subject_joins_dispatch_merge_join() {
         let ds = generate(&BartonConfig {
@@ -319,9 +316,6 @@ mod dispatch {
         let m = StorageManager::new(MachineProfile::B);
         let mut sorted = ColumnEngine::new();
         sorted.load_vertical(&m, &ds.triples, true);
-        let mut hash = ColumnEngine::new();
-        hash.set_sorted_paths(false);
-        hash.load_vertical(&m, &ds.triples, true);
 
         // q5 joins two subject-sorted property tables directly and q4's
         // chain is reordered so a sorted pair merges first; q7's
@@ -336,15 +330,10 @@ mod dispatch {
                 stats.merge_joins >= 1 || stats.leapfrog_dispatches >= 1,
                 "{q}: expected an order-exploiting join, got {stats:?}"
             );
-
-            hash.reset_exec_stats();
-            let base = hash.execute(&plan).expect("hash run");
-            assert_eq!(hash.exec_stats().merge_joins, 0);
-            assert!(hash.exec_stats().hash_joins >= 1);
             assert_eq!(
                 naive::normalize(got.to_rows()),
-                naive::normalize(base.to_rows()),
-                "{q}: sorted and hash answers differ"
+                naive::normalize(naive::execute(&plan, &ds.triples)),
+                "{q}: sorted paths and the reference differ"
             );
         }
     }

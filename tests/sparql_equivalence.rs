@@ -9,22 +9,11 @@
 //! through the benchmark path, on **all six engine × layout
 //! configurations**, compared after decoding ids to term strings.
 
-use swans_core::{normalize_result, Database, Layout, StoreConfig};
+use swans_core::{normalize_result, Database, StoreConfig};
 use swans_datagen::{generate, BartonConfig};
 use swans_plan::algebra::ColumnKind;
 use swans_plan::queries::{build_plan, vocab, QueryContext, QueryId};
-use swans_rdf::{Dataset, SortOrder};
-
-fn all_configs() -> Vec<StoreConfig> {
-    vec![
-        StoreConfig::row(Layout::TripleStore(SortOrder::Spo)),
-        StoreConfig::row(Layout::TripleStore(SortOrder::Pso)),
-        StoreConfig::row(Layout::VerticallyPartitioned),
-        StoreConfig::column(Layout::TripleStore(SortOrder::Spo)),
-        StoreConfig::column(Layout::TripleStore(SortOrder::Pso)),
-        StoreConfig::column(Layout::VerticallyPartitioned),
-    ]
-}
+use swans_rdf::Dataset;
 
 /// Decodes normalized benchmark rows with the plan's own column kinds:
 /// term ids through the dictionary, counts as numbers — the same rule
@@ -119,7 +108,7 @@ fn sparql_strings_match_generated_plans_on_all_six_configurations() {
         let reference_kinds = reference_plan.output_kinds();
         let mut cross_config: Option<Vec<Vec<String>>> = None;
 
-        for config in all_configs() {
+        for config in StoreConfig::paper_matrix() {
             let label = config.label();
             let db = Database::open(ds.clone(), config).expect("config opens");
 

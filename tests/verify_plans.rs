@@ -6,8 +6,7 @@
 //! the plans in this (debug) build additionally routes each one through
 //! the engine's own pre-execution verify and the shadow validator.
 
-use swans_bench::updates::configs as all_configs;
-use swans_core::Database;
+use swans_core::{Database, StoreConfig};
 use swans_plan::queries::{vocab, QueryContext, QueryId};
 use swans_plan::verify::verify;
 use swans_plan::{build_plan, optimize_cbo, optimize_for, reorder_joins};
@@ -48,7 +47,7 @@ fn verify_and_run_all(db: &Database, qctx: &QueryContext, label: &str) {
 fn benchmark_plans_verify_in_every_configuration_and_state() {
     let ds = dataset();
     let qctx = QueryContext::from_dataset(&ds, 28);
-    for config in all_configs() {
+    for config in StoreConfig::paper_matrix() {
         let label = config.label();
         let db = Database::open(ds.clone(), config).expect("opens");
         verify_and_run_all(&db, &qctx, &format!("{label}/clean"));
