@@ -157,10 +157,7 @@ impl Column {
             self.storage.touch_segment(self.segment);
             return runs.eq_range_sorted(value);
         }
-        let data = self.read();
-        let lo = data.partition_point(|&x| x < value);
-        let hi = data.partition_point(|&x| x <= value);
-        lo..hi
+        crate::ops::eq_range(self.read(), value)
     }
 }
 

@@ -46,15 +46,19 @@
 //!   its sorted rows. [`ColumnEngine::merge`] — explicit, or triggered by
 //!   a pending-operation threshold — rebuilds the affected sorted tables
 //!   and restores sorted-path dispatch.
-//! * **Morsel-driven parallelism.** With [`ColumnEngine::set_threads`],
-//!   base scans, selections, hash-join build/probe, aggregation and
-//!   distinct split their input into fixed-size morsels executed by a
-//!   scoped-thread worker pool ([`parallel`]); every barrier merges in
-//!   morsel order, so parallel output is bit-identical to sequential and
-//!   physical-property claims survive partitioning. Sorted-path kernels
-//!   (merge join, run-based aggregation) run the *sequential* kernel per
-//!   value-aligned partition, so the sortedness-aware dispatch wins are
-//!   preserved at every thread count.
+//! * **Morsel-driven parallelism, one body per kernel.** Scans,
+//!   selections, hash joins, aggregation and distinct split their input
+//!   into fixed-size morsels run by a scoped-thread pool ([`parallel`],
+//!   sized by [`ColumnEngine::set_threads`]); the sorted kernels (merge
+//!   join, run-based aggregation) split at value-run boundaries, so the
+//!   sortedness-aware dispatch survives at every width. Barriers merge in
+//!   morsel order: output is bit-identical at every width. There is no
+//!   separate sequential kernel — one morsel, or one worker, runs the
+//!   same body ([`ops`]) inline.
+//!
+//! [`engine`] is four modules: `store` (tables, write store, load / apply
+//! / merge / fork, counters), `scan` (the one base scan), `exec` (the
+//! operator dispatch) and `kernels` (the morsel-parallel kernels).
 
 #![warn(missing_docs)]
 

@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
+use std::ops::Range;
 
 use swans_rdf::hash::FxHasher;
 
@@ -37,7 +38,7 @@ pub fn select_cmp(col: &[u64], value: u64, negate: bool) -> Vec<u32> {
 /// dominate on short runs, and the output side is the whole cost of a
 /// non-selective predicate.
 #[inline]
-fn push_range(out: &mut Vec<u32>, r: std::ops::Range<usize>) {
+fn push_range(out: &mut Vec<u32>, r: Range<usize>) {
     let mut p = r.start as u32;
     let end = r.end as u32;
     while p < end {
@@ -105,86 +106,33 @@ pub fn select_in_runs(runs: &RunCol, values: &[u64]) -> Vec<u32> {
     out
 }
 
+/// Positions holding `value` in a **sorted** slice, by binary search.
+pub fn eq_range(sorted: &[u64], value: u64) -> Range<usize> {
+    sorted.partition_point(|&x| x < value)..sorted.partition_point(|&x| x <= value)
+}
+
 /// [`select_in`] over a **sorted** column: each probe value resolves by
-/// binary search (k·log n instead of the linear membership scan). The
+/// binary search (k·log n instead of the linear membership scan) — over
+/// the (much shorter) run headers when the column is run-encoded. The
 /// probe list is sorted and deduplicated first, so the per-value ranges
 /// concatenate into exactly the ascending position vector [`select_in`]
 /// emits.
-pub fn select_in_sorted(col: &[u64], values: &[u64]) -> Vec<u32> {
-    debug_assert!(col.windows(2).all(|w| w[0] <= w[1]));
+pub fn select_in_sorted(col: RunsView<'_>, values: &[u64]) -> Vec<u32> {
     let mut probes: Vec<u64> = values.to_vec();
     probes.sort_unstable();
     probes.dedup();
     let mut out = Vec::new();
     for v in probes {
-        let lo = col.partition_point(|&x| x < v);
-        let hi = col.partition_point(|&x| x <= v);
-        out.extend(lo as u32..hi as u32);
-    }
-    out
-}
-
-/// [`select_in_sorted`] over a run-encoded sorted column: each probe
-/// value binary-searches the (much shorter) run headers — k·log(runs).
-pub fn select_in_sorted_runs(runs: &RunCol, values: &[u64]) -> Vec<u32> {
-    let mut probes: Vec<u64> = values.to_vec();
-    probes.sort_unstable();
-    probes.dedup();
-    let mut out = Vec::new();
-    for v in probes {
-        let r = runs.eq_range_sorted(v);
+        let r = col.eq_range(v);
         out.extend(r.start as u32..r.end as u32);
     }
     out
 }
 
-/// A hash table over a build column, with chained duplicates stored
-/// compactly (no per-key allocations).
-pub struct JoinHash {
-    heads: FxMap<u64, u32>,
-    /// `next[i]` = next build row with the same key, `u32::MAX` ends.
-    next: Vec<u32>,
-}
-
-impl JoinHash {
-    /// Builds the table over `build`.
-    pub fn build(build: &[u64]) -> Self {
-        let mut heads: FxMap<u64, u32> =
-            FxMap::with_capacity_and_hasher(build.len(), Default::default());
-        let mut next = vec![u32::MAX; build.len()];
-        for (i, &key) in build.iter().enumerate() {
-            let e = heads.entry(key).or_insert(u32::MAX);
-            next[i] = *e;
-            *e = i as u32;
-        }
-        Self { heads, next }
-    }
-
-    /// Probes with `probe`, emitting matching `(build_pos, probe_pos)`
-    /// pairs.
-    pub fn probe(&self, probe: &[u64]) -> (Vec<u32>, Vec<u32>) {
-        // At least one output pair per matching probe row; reserving the
-        // probe length up front skips the early doubling re-allocations.
-        let mut build_sel = Vec::with_capacity(probe.len());
-        let mut probe_sel = Vec::with_capacity(probe.len());
-        for (j, key) in probe.iter().enumerate() {
-            if let Some(&head) = self.heads.get(key) {
-                let mut i = head;
-                while i != u32::MAX {
-                    build_sel.push(i);
-                    probe_sel.push(j as u32);
-                    i = self.next[i as usize];
-                }
-            }
-        }
-        (build_sel, probe_sel)
-    }
-}
-
 /// The hash partition a key belongs to when the build side is split into
 /// `1 << parts_log2` partitions. A multiplicative mix of the key's bits,
-/// deliberately *not* the bucket function of [`JoinHash`]'s map, so a
-/// pathological key set cannot degrade both at once.
+/// deliberately *not* the bucket function of the partition tables' maps,
+/// so a pathological key set cannot degrade both at once.
 #[inline]
 pub fn join_partition_of(key: u64, parts_log2: u32) -> u32 {
     if parts_log2 == 0 {
@@ -193,15 +141,14 @@ pub fn join_partition_of(key: u64, parts_log2: u32) -> u32 {
     ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & ((1 << parts_log2) - 1)) as u32
 }
 
-/// One partition of a hash-partitioned join build side.
+/// One partition of a hash-partitioned join build side (a small build
+/// side is a single partition holding every row).
 ///
-/// Each worker builds the partition for its own key range by scanning the
-/// build column and chaining only the keys that hash into its partition —
-/// positions are inserted in ascending order, so the per-key chains are
-/// *identical* to the ones an unpartitioned [`JoinHash`] would hold, and
-/// a probe therefore emits exactly the sequential pair order. The tables
-/// are built once per join and shared (read-only) across every probe
-/// morsel — probe scratch, not the build side, is what morsels reuse.
+/// Positions are inserted in ascending order, so the per-key chains — and
+/// therefore the pair order a probe emits — do not depend on how many
+/// partitions the build side was split into. The tables are built once
+/// per join and shared (read-only) across every probe morsel — probe
+/// scratch, not the build side, is what morsels reuse.
 pub struct JoinHashPartition {
     /// Key → most-recently-inserted *local* entry id.
     heads: FxMap<u64, u32>,
@@ -213,30 +160,17 @@ pub struct JoinHashPartition {
 }
 
 impl JoinHashPartition {
-    /// Builds partition `part` (of `1 << parts_log2`) over `build` by
-    /// scanning the whole column. Prefer
-    /// [`JoinHashPartition::from_positions`] with a pre-scattered
-    /// position list when building several partitions — this form re-scans
-    /// `build` once per partition.
-    pub fn build(build: &[u64], part: u32, parts_log2: u32) -> Self {
-        Self::from_positions(
-            build,
-            build
-                .iter()
-                .enumerate()
-                .filter(|&(_, &key)| join_partition_of(key, parts_log2) == part)
-                .map(|(i, _)| i as u32),
-        )
-    }
-
     /// Builds a partition table from this partition's build positions,
     /// supplied in ascending order (one scatter pass produces the lists
-    /// for every partition at once). Chains end up identical to the ones
-    /// an unpartitioned [`JoinHash`] holds for these keys.
+    /// for every partition at once). An iterator that knows its length —
+    /// the whole-column range of an unpartitioned build — reserves the
+    /// table up front and skips the doubling re-allocations.
     pub fn from_positions(build: &[u64], positions: impl IntoIterator<Item = u32>) -> Self {
-        let mut heads: FxMap<u64, u32> = FxMap::default();
-        let mut next = Vec::new();
-        let mut pos = Vec::new();
+        let positions = positions.into_iter();
+        let cap = positions.size_hint().0;
+        let mut heads: FxMap<u64, u32> = FxMap::with_capacity_and_hasher(cap, Default::default());
+        let mut next = Vec::with_capacity(cap);
+        let mut pos = Vec::with_capacity(cap);
         for i in positions {
             let e = heads.entry(build[i as usize]).or_insert(u32::MAX);
             next.push(*e);
@@ -247,8 +181,7 @@ impl JoinHashPartition {
     }
 
     /// Appends every `(build_pos, probe_pos)` match for `key` to the
-    /// caller's output buffers (build positions in descending order, like
-    /// [`JoinHash::probe`]).
+    /// caller's output buffers (build positions in descending order).
     #[inline]
     pub fn probe_into(
         &self,
@@ -275,17 +208,6 @@ impl JoinHashPartition {
     /// True when no build key hashed into this partition.
     pub fn is_empty(&self) -> bool {
         self.pos.is_empty()
-    }
-}
-
-/// Hash equi-join: matching `(left_pos, right_pos)` pairs. Builds on the
-/// smaller input.
-pub fn hash_join(left: &[u64], right: &[u64]) -> (Vec<u32>, Vec<u32>) {
-    if left.len() <= right.len() {
-        JoinHash::build(left).probe(right)
-    } else {
-        let (r, l) = JoinHash::build(right).probe(left);
-        (l, r)
     }
 }
 
@@ -345,7 +267,7 @@ pub enum RunsView<'a> {
     Runs(&'a RunCol),
 }
 
-impl RunsView<'_> {
+impl<'a> RunsView<'a> {
     /// Logical row count.
     pub fn len(&self) -> usize {
         match self {
@@ -388,6 +310,15 @@ impl RunsView<'_> {
         }
     }
 
+    /// Positions holding `value` (binary search — over the run headers on
+    /// run-encoded input).
+    pub fn eq_range(&self, value: u64) -> Range<usize> {
+        match self {
+            RunsView::Flat(c) => eq_range(c, value),
+            RunsView::Runs(r) => r.eq_range_sorted(value),
+        }
+    }
+
     /// First position `>= from` holding a value `>= v` — the galloping
     /// step of [`leapfrog_join`]. Binary search on flat input, a header
     /// search on run-encoded input.
@@ -406,6 +337,58 @@ impl RunsView<'_> {
             RunsView::Runs(r) => {
                 let ri = r.run_ends().partition_point(|&e| (e as usize) <= pos);
                 r.run_ends()[ri] as usize
+            }
+        }
+    }
+
+    /// Calls `f(value, rows)` for every maximal equal-value run inside
+    /// `range`, in row order, clipped to the range: a linear walk on flat
+    /// input, O(1) per run off the headers on run-encoded input (one
+    /// binary search finds the first).
+    pub fn for_each_run(&self, range: Range<usize>, mut f: impl FnMut(u64, Range<usize>)) {
+        match self {
+            RunsView::Flat(c) => {
+                let mut i = range.start;
+                while i < range.end {
+                    let v = c[i];
+                    let mut j = i + 1;
+                    while j < range.end && c[j] == v {
+                        j += 1;
+                    }
+                    f(v, i..j);
+                    i = j;
+                }
+            }
+            RunsView::Runs(r) => {
+                let first = r
+                    .run_ends()
+                    .partition_point(|&e| (e as usize) <= range.start);
+                for ri in first..r.run_count() {
+                    let run = r.run_range(ri);
+                    if run.start >= range.end {
+                        break;
+                    }
+                    f(
+                        r.values()[ri],
+                        run.start.max(range.start)..run.end.min(range.end),
+                    );
+                }
+            }
+        }
+    }
+
+    /// The rows of `range` as a view of their own (positions restart at
+    /// 0): flat input re-borrows, run-encoded input cuts its runs into
+    /// `buf`.
+    pub fn slice<'b>(self, range: Range<usize>, buf: &'b mut RunCol) -> RunsView<'b>
+    where
+        Self: 'b,
+    {
+        match self {
+            RunsView::Flat(c) => RunsView::Flat(&c[range]),
+            RunsView::Runs(r) => {
+                *buf = r.slice(range);
+                RunsView::Runs(buf)
             }
         }
     }
@@ -627,167 +610,86 @@ fn merge_join_fr(l: &[u64], r: &RunCol) -> (Vec<u32>, Vec<u32>) {
     (left_sel, right_sel)
 }
 
-/// Run-based group-count over a run-encoded **sorted** key column: each
-/// run *is* one group, so the keys are the run values and the counts are
-/// the run-length differences — O(runs), no inner scan at all.
-pub fn group_count_sorted_runs(keys: &RunCol) -> (Vec<u64>, Vec<u64>) {
-    debug_assert!(keys.values().windows(2).all(|w| w[0] < w[1]));
-    let ks = keys.values().to_vec();
-    let mut cs = Vec::with_capacity(keys.run_count());
-    let mut prev = 0u32;
-    for &e in keys.run_ends() {
-        cs.push((e - prev) as u64);
-        prev = e;
-    }
-    (ks, cs)
-}
-
-/// Two-key run-based group-count where the *leading* key is run-encoded
-/// and the pair stream is sorted lexicographically: the outer loop walks
-/// `k0`'s runs (each a contiguous block of one leading key) and only the
-/// second column is scanned for inner runs.
-pub fn group_count_sorted_2_runs(k0: &RunCol, k1: &[u64]) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
-    debug_assert_eq!(k0.len(), k1.len());
-    let mut o0 = Vec::new();
-    let mut o1 = Vec::new();
-    let mut oc = Vec::new();
-    for (v0, r) in k0.runs() {
-        let mut i = r.start;
-        while i < r.end {
-            let v1 = k1[i];
-            let mut j = i + 1;
-            while j < r.end && k1[j] == v1 {
+/// Run-based group-count over the rows of `range`, sorted by
+/// `(lead, rest…)`; returns the key columns followed by the counts.
+/// Equal keys are adjacent, so each group is one run — no hash table, no
+/// output sort. The walk follows the lead column's value runs (read off
+/// the headers when it is run-encoded) and sub-splits each on `rest`;
+/// with no `rest` column a lead run *is* a group and its count is the run
+/// length. `range` must start and end on lead-run boundaries.
+pub fn group_count_sorted(
+    lead: RunsView<'_>,
+    rest: &[&[u64]],
+    range: Range<usize>,
+) -> Vec<Vec<u64>> {
+    let mut out: Vec<Vec<u64>> = vec![Vec::new(); rest.len() + 2];
+    lead.for_each_run(range, |v, run| {
+        let mut i = run.start;
+        while i < run.end {
+            let mut j = if rest.is_empty() { run.end } else { i + 1 };
+            while j < run.end && rest.iter().all(|c| c[j] == c[i]) {
                 j += 1;
             }
-            o0.push(v0);
-            o1.push(v1);
-            oc.push((j - i) as u64);
+            out[0].push(v);
+            for (o, c) in out[1..].iter_mut().zip(rest) {
+                o.push(c[i]);
+            }
+            out[rest.len() + 1].push((j - i) as u64);
             i = j;
         }
-    }
-    (o0, o1, oc)
-}
-
-/// Groups by one key column; returns `(keys, counts)`.
-pub fn group_count_1(keys: &[u64]) -> (Vec<u64>, Vec<u64>) {
-    let mut map: FxMap<u64, u64> = FxMap::default();
-    for &k in keys {
-        *map.entry(k).or_insert(0) += 1;
-    }
-    let mut pairs: Vec<(u64, u64)> = map.into_iter().collect();
-    pairs.sort_unstable();
-    pairs.into_iter().unzip()
-}
-
-/// Groups by two key columns; returns `(keys0, keys1, counts)`.
-pub fn group_count_2(k0: &[u64], k1: &[u64]) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
-    debug_assert_eq!(k0.len(), k1.len());
-    let mut map: FxMap<(u64, u64), u64> = FxMap::default();
-    for (&a, &b) in k0.iter().zip(k1) {
-        *map.entry((a, b)).or_insert(0) += 1;
-    }
-    let mut trips: Vec<((u64, u64), u64)> = map.into_iter().collect();
-    trips.sort_unstable();
-    let mut o0 = Vec::with_capacity(trips.len());
-    let mut o1 = Vec::with_capacity(trips.len());
-    let mut oc = Vec::with_capacity(trips.len());
-    for ((a, b), c) in trips {
-        o0.push(a);
-        o1.push(b);
-        oc.push(c);
-    }
-    (o0, o1, oc)
-}
-
-/// Run-based group-count over one *sorted* key column; returns
-/// `(keys, counts)`. Equal keys are adjacent, so each group is one run —
-/// no hash table, no output sort.
-pub fn group_count_sorted_1(keys: &[u64]) -> (Vec<u64>, Vec<u64>) {
-    debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]));
-    let mut ks = Vec::new();
-    let mut cs = Vec::new();
-    let mut i = 0usize;
-    while i < keys.len() {
-        let v = keys[i];
-        let mut j = i + 1;
-        while j < keys.len() && keys[j] == v {
-            j += 1;
-        }
-        ks.push(v);
-        cs.push((j - i) as u64);
-        i = j;
-    }
-    (ks, cs)
-}
-
-/// Run-based group-count over two key columns sorted lexicographically by
-/// `(k0, k1)`; returns `(keys0, keys1, counts)`.
-pub fn group_count_sorted_2(k0: &[u64], k1: &[u64]) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
-    debug_assert_eq!(k0.len(), k1.len());
-    debug_assert!((1..k0.len()).all(|i| (k0[i - 1], k1[i - 1]) <= (k0[i], k1[i])));
-    let mut o0 = Vec::new();
-    let mut o1 = Vec::new();
-    let mut oc = Vec::new();
-    let mut i = 0usize;
-    while i < k0.len() {
-        let (a, b) = (k0[i], k1[i]);
-        let mut j = i + 1;
-        while j < k0.len() && k0[j] == a && k1[j] == b {
-            j += 1;
-        }
-        o0.push(a);
-        o1.push(b);
-        oc.push((j - i) as u64);
-        i = j;
-    }
-    (o0, o1, oc)
-}
-
-/// Positions of the first row of each run in input already sorted so that
-/// equal rows are adjacent — the linear form of [`distinct_rows`].
-pub fn distinct_sorted(cols: &[&[u64]], len: usize) -> Vec<u32> {
-    let mut out = Vec::new();
-    for i in 0..len {
-        if i == 0 || cols.iter().any(|c| c[i] != c[i - 1]) {
-            out.push(i as u32);
-        }
-    }
-    out
-}
-
-/// Positions of the first occurrence of each distinct row (sort-based).
-/// Ties break on position, so the representative of each duplicate set
-/// really is its first occurrence — the same canonical choice the
-/// morsel-parallel distinct makes, keeping the two paths bit-identical.
-pub fn distinct_rows(cols: &[&[u64]], len: usize) -> Vec<u32> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let mut idx: Vec<u32> = (0..len as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        for c in cols {
-            match c[a as usize].cmp(&c[b as usize]) {
-                std::cmp::Ordering::Equal => continue,
-                o => return o,
-            }
-        }
-        a.cmp(&b)
     });
-    let mut out = Vec::new();
-    let mut prev: Option<u32> = None;
-    for &i in &idx {
-        let dup = prev.is_some_and(|p| cols.iter().all(|c| c[p as usize] == c[i as usize]));
-        if !dup {
-            out.push(i);
-        }
-        prev = Some(i);
-    }
     out
+}
+
+/// Positions (relative to `range.start`) of the rows in `range` that
+/// differ from the row before them — the first row of each run of equal
+/// rows, i.e. duplicate elimination over input sorted so that equal rows
+/// are adjacent. Row 0 has no predecessor and always counts; any other
+/// range start is compared against the row just outside the range, so a
+/// morsel split needs no alignment.
+pub fn distinct_sorted(cols: &[&[u64]], range: Range<usize>) -> Vec<u32> {
+    let base = range.start;
+    range
+        .filter(|&i| i == 0 || cols.iter().any(|c| c[i] != c[i - 1]))
+        .map(|i| (i - base) as u32)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ColumnEngine;
+    use swans_plan::exec::QueryBudget;
+
+    // The hash kernels have no sequential twin in this module any more:
+    // their one body is the engine's morsel-parallel kernel, which these
+    // helpers run at pool width 1.
+
+    fn hash_join_pairs(l: &[u64], r: &[u64]) -> (Vec<u32>, Vec<u32>) {
+        ColumnEngine::new()
+            .par_hash_join(&QueryBudget::unlimited(), l, r)
+            .expect("unlimited budget")
+    }
+
+    /// Key columns followed by the count column.
+    fn group_count_hash(keys: &[&[u64]]) -> Vec<Vec<u64>> {
+        let n = keys.first().map_or(0, |k| k.len());
+        let out = ColumnEngine::new()
+            .par_hash_group_count(&QueryBudget::unlimited(), keys, n)
+            .expect("unlimited budget");
+        (0..out.arity()).map(|c| out.col(c).to_vec()).collect()
+    }
+
+    fn distinct_hash(cols: &[&[u64]], len: usize) -> Vec<u32> {
+        ColumnEngine::new()
+            .par_distinct_hash(&QueryBudget::unlimited(), cols, len)
+            .expect("unlimited budget")
+    }
+
+    /// [`group_count_sorted`] over a whole flat-lead input.
+    fn group_count_sorted_flat(lead: &[u64], rest: &[&[u64]]) -> Vec<Vec<u64>> {
+        group_count_sorted(RunsView::Flat(lead), rest, 0..lead.len())
+    }
 
     #[test]
     fn select_cmp_eq_and_ne() {
@@ -824,7 +726,7 @@ mod tests {
     fn hash_join_finds_all_pairs() {
         let l = [1, 2, 2, 3];
         let r = [2, 2, 4];
-        let (ls, rs) = hash_join(&l, &r);
+        let (ls, rs) = hash_join_pairs(&l, &r);
         let mut pairs: Vec<(u32, u32)> = ls.into_iter().zip(rs).collect();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(1, 0), (1, 1), (2, 0), (2, 1)]);
@@ -835,7 +737,7 @@ mod tests {
         let l = [1, 2, 2, 3, 7];
         let r = [0, 2, 2, 3, 3, 9];
         let (mls, mrs) = merge_join(&l, &r);
-        let (hls, hrs) = hash_join(&l, &r);
+        let (hls, hrs) = hash_join_pairs(&l, &r);
         let mut m: Vec<(u32, u32)> = mls.into_iter().zip(mrs).collect();
         let mut h: Vec<(u32, u32)> = hls.into_iter().zip(hrs).collect();
         m.sort_unstable();
@@ -845,34 +747,61 @@ mod tests {
     }
 
     /// A hash-partitioned build probed partition-by-key emits *exactly*
-    /// the sequential [`JoinHash`] pair stream — same pairs, same order —
-    /// so morsel-parallel joins are bit-identical to sequential ones.
+    /// the pair stream of the one-partition table — same pairs, same
+    /// order — so the join's output does not depend on how the build
+    /// side was split.
     #[test]
     fn partitioned_join_matches_joinhash_exactly() {
         let build: Vec<u64> = (0..500).map(|i| i % 37).collect();
         let probe: Vec<u64> = (0..300).map(|i| (i * 7) % 41).collect();
-        let seq = JoinHash::build(&build);
-        let (want_b, want_p) = seq.probe(&probe);
+        let probe_all = |parts: &[JoinHashPartition], parts_log2: u32| {
+            let (mut b, mut p) = (Vec::new(), Vec::new());
+            for (j, &key) in probe.iter().enumerate() {
+                parts[join_partition_of(key, parts_log2) as usize]
+                    .probe_into(key, j as u32, &mut b, &mut p);
+            }
+            (b, p)
+        };
+        let whole = [JoinHashPartition::from_positions(
+            &build,
+            0..build.len() as u32,
+        )];
+        let want = probe_all(&whole, 0);
+        // Independent anchor: every matching pair, each exactly once.
+        let mut pairs: Vec<(u32, u32)> = want.0.iter().copied().zip(want.1.clone()).collect();
+        pairs.sort_unstable();
+        let mut nested = Vec::new();
+        for (i, a) in build.iter().enumerate() {
+            for (j, b) in probe.iter().enumerate() {
+                if a == b {
+                    nested.push((i as u32, j as u32));
+                }
+            }
+        }
+        assert_eq!(pairs, nested);
         for parts_log2 in [0u32, 1, 3] {
             let parts: Vec<JoinHashPartition> = (0..1u32 << parts_log2)
-                .map(|w| JoinHashPartition::build(&build, w, parts_log2))
+                .map(|w| {
+                    JoinHashPartition::from_positions(
+                        &build,
+                        (0..build.len() as u32)
+                            .filter(|&i| join_partition_of(build[i as usize], parts_log2) == w),
+                    )
+                })
                 .collect();
             assert_eq!(
                 parts.iter().map(JoinHashPartition::len).sum::<usize>(),
                 build.len(),
                 "every build row lands in exactly one partition"
             );
-            let mut got_b = Vec::new();
-            let mut got_p = Vec::new();
-            for (j, &key) in probe.iter().enumerate() {
-                parts[join_partition_of(key, parts_log2) as usize]
-                    .probe_into(key, j as u32, &mut got_b, &mut got_p);
-            }
-            assert_eq!(got_b, want_b, "parts_log2 {parts_log2}");
-            assert_eq!(got_p, want_p, "parts_log2 {parts_log2}");
+            assert_eq!(
+                probe_all(&parts, parts_log2),
+                want,
+                "parts_log2 {parts_log2}"
+            );
         }
         // A partition that received nothing still answers probes.
-        let empty = JoinHashPartition::build(&[], 0, 0);
+        let empty = JoinHashPartition::from_positions(&[], 0..0);
         assert!(empty.is_empty());
         let mut b = Vec::new();
         let mut p = Vec::new();
@@ -882,69 +811,79 @@ mod tests {
 
     #[test]
     fn group_count_1_sorted_output() {
-        let (k, c) = group_count_1(&[3, 1, 3, 3, 1]);
-        assert_eq!(k, vec![1, 3]);
-        assert_eq!(c, vec![2, 3]);
+        let out = group_count_hash(&[&[3, 1, 3, 3, 1]]);
+        assert_eq!(out, vec![vec![1, 3], vec![2, 3]]);
     }
 
     #[test]
     fn group_count_2_pairs() {
-        let (a, b, c) = group_count_2(&[1, 1, 2, 1], &[5, 5, 6, 7]);
-        assert_eq!(a, vec![1, 1, 2]);
-        assert_eq!(b, vec![5, 7, 6]);
-        assert_eq!(c, vec![2, 1, 1]);
+        let out = group_count_hash(&[&[1, 1, 2, 1], &[5, 5, 6, 7]]);
+        assert_eq!(out, vec![vec![1, 1, 2], vec![5, 7, 6], vec![2, 1, 1]]);
     }
 
     #[test]
     fn group_count_sorted_1_matches_hash_path() {
         let keys = [1, 1, 1, 3, 5, 5];
-        assert_eq!(group_count_sorted_1(&keys), group_count_1(&keys));
-        assert_eq!(group_count_sorted_1(&[]), (vec![], vec![]));
+        assert_eq!(
+            group_count_sorted_flat(&keys, &[]),
+            group_count_hash(&[&keys])
+        );
+        assert_eq!(group_count_sorted_flat(&[], &[]), vec![vec![], vec![]]);
         let uniform = [7u64; 10];
-        assert_eq!(group_count_sorted_1(&uniform), (vec![7], vec![10]));
+        assert_eq!(
+            group_count_sorted_flat(&uniform, &[]),
+            vec![vec![7], vec![10]]
+        );
     }
 
     #[test]
     fn group_count_sorted_2_matches_hash_path() {
         let k0 = [1, 1, 1, 2, 2, 4];
         let k1 = [5, 5, 7, 0, 0, 9];
-        assert_eq!(group_count_sorted_2(&k0, &k1), group_count_2(&k0, &k1));
-        assert_eq!(group_count_sorted_2(&[], &[]), (vec![], vec![], vec![]));
+        assert_eq!(
+            group_count_sorted_flat(&k0, &[&k1]),
+            group_count_hash(&[&k0, &k1])
+        );
+        assert_eq!(
+            group_count_sorted_flat(&[], &[&[]]),
+            vec![vec![], vec![], vec![]]
+        );
     }
 
     #[test]
     fn distinct_sorted_matches_sort_based_distinct() {
         let c0 = [1, 1, 2, 2, 2, 3];
         let c1 = [4, 4, 4, 5, 5, 5];
-        let fast = distinct_sorted(&[&c0, &c1], 6);
+        let cols: [&[u64]; 2] = [&c0, &c1];
+        let fast = distinct_sorted(&cols, 0..6);
         assert_eq!(fast, vec![0, 2, 3, 5]);
-        // Same distinct row *values* as the sort-based kernel (duplicate
-        // positions are interchangeable there).
-        let slow = distinct_rows(&[&c0, &c1], 6);
-        let values = |sel: &[u32]| -> Vec<(u64, u64)> {
-            let mut v: Vec<(u64, u64)> = sel
-                .iter()
-                .map(|&i| (c0[i as usize], c1[i as usize]))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(values(&fast), values(&slow));
-        assert!(distinct_sorted(&[], 0).is_empty());
+        // On sorted input the hash kernel's first occurrences are the
+        // same positions.
+        assert_eq!(fast, distinct_hash(&cols, 6));
+        // A range compares its first row against the row before it, so
+        // any split concatenates to the whole.
+        for cut in 0..=6 {
+            let mut split = distinct_sorted(&cols, 0..cut);
+            split.extend(
+                distinct_sorted(&cols, cut..6)
+                    .iter()
+                    .map(|&p| p + cut as u32),
+            );
+            assert_eq!(split, fast, "cut at {cut}");
+        }
+        assert!(distinct_sorted(&[], 0..0).is_empty());
     }
 
     #[test]
     fn distinct_rows_keeps_first_occurrence() {
         let c0 = [1, 1, 2, 1];
         let c1 = [9, 9, 8, 7];
-        let mut d = distinct_rows(&[&c0, &c1], 4);
-        d.sort_unstable();
-        assert_eq!(d, vec![0, 2, 3]);
+        assert_eq!(distinct_hash(&[&c0, &c1], 4), vec![0, 2, 3]);
     }
 
     #[test]
     fn distinct_rows_empty() {
-        assert!(distinct_rows(&[], 0).is_empty());
+        assert!(distinct_hash(&[], 0).is_empty());
     }
 
     #[test]
@@ -984,13 +923,16 @@ mod tests {
         // Unsorted probe list with duplicates: output must still be the
         // ascending position vector of the linear kernel.
         let values = [9u64, 1, 30, 9, 250, 0];
-        assert_eq!(select_in_sorted(&col, &values), select_in(&col, &values));
-        let runs = RunCol::from_flat(&col);
         assert_eq!(
-            select_in_sorted_runs(&runs, &values),
+            select_in_sorted(RunsView::Flat(&col), &values),
             select_in(&col, &values)
         );
-        assert!(select_in_sorted(&[], &values).is_empty());
+        let runs = RunCol::from_flat(&col);
+        assert_eq!(
+            select_in_sorted(RunsView::Runs(&runs), &values),
+            select_in(&col, &values)
+        );
+        assert!(select_in_sorted(RunsView::Flat(&[]), &values).is_empty());
     }
 
     #[test]
@@ -1032,10 +974,17 @@ mod tests {
     fn group_count_sorted_runs_reads_counts_off_run_lengths() {
         let flat = [1u64, 1, 1, 3, 5, 5];
         let runs = RunCol::from_flat(&flat);
-        assert_eq!(group_count_sorted_runs(&runs), group_count_sorted_1(&flat));
+        let got = group_count_sorted(RunsView::Runs(&runs), &[], 0..flat.len());
+        assert_eq!(got, vec![vec![1, 3, 5], vec![3, 1, 2]]);
+        assert_eq!(got, group_count_sorted_flat(&flat, &[]));
+        // A sub-range clips the runs it cuts.
         assert_eq!(
-            group_count_sorted_runs(&RunCol::default()),
-            (vec![], vec![])
+            group_count_sorted(RunsView::Runs(&runs), &[], 1..5),
+            vec![vec![1, 3, 5], vec![2, 1, 1]]
+        );
+        assert_eq!(
+            group_count_sorted(RunsView::Runs(&RunCol::default()), &[], 0..0),
+            vec![vec![], vec![]]
         );
     }
 
@@ -1044,13 +993,15 @@ mod tests {
         let k0 = [1u64, 1, 1, 2, 2, 4];
         let k1 = [5u64, 5, 7, 0, 0, 9];
         let runs = RunCol::from_flat(&k0);
+        let got = group_count_sorted(RunsView::Runs(&runs), &[&k1], 0..k0.len());
         assert_eq!(
-            group_count_sorted_2_runs(&runs, &k1),
-            group_count_sorted_2(&k0, &k1)
+            got,
+            vec![vec![1, 1, 2, 4], vec![5, 7, 0, 9], vec![2, 1, 2, 1]]
         );
+        assert_eq!(got, group_count_sorted_flat(&k0, &[&k1]));
         assert_eq!(
-            group_count_sorted_2_runs(&RunCol::default(), &[]),
-            (vec![], vec![], vec![])
+            group_count_sorted(RunsView::Runs(&RunCol::default()), &[&[]], 0..0),
+            vec![vec![], vec![], vec![]]
         );
     }
 
@@ -1158,178 +1109,296 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
+/// Seeded property sweeps over the kernels, each against an independent
+/// reference (nested loops, `BTreeMap` counts, `BTreeSet` rows) — the
+/// offline stand-in for a property-testing crate.
+#[cfg(test)]
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use crate::ColumnEngine;
+    use std::collections::{BTreeMap, BTreeSet};
+    use swans_plan::exec::QueryBudget;
 
-    proptest! {
-        /// Merge join ≡ hash join ≡ nested loops for arbitrary sorted data.
-        #[test]
-        fn join_kernels_agree(
-            mut l in proptest::collection::vec(0u64..30, 0..120),
-            mut r in proptest::collection::vec(0u64..30, 0..120),
-        ) {
-            l.sort_unstable();
-            r.sort_unstable();
-            let mut nested: Vec<(u32, u32)> = Vec::new();
-            for (i, a) in l.iter().enumerate() {
-                for (j, b) in r.iter().enumerate() {
-                    if a == b {
-                        nested.push((i as u32, j as u32));
-                    }
+    /// Cases per property; the interpreter gets a token sweep.
+    const CASES: usize = if cfg!(miri) { 6 } else { 256 };
+
+    /// Tiny deterministic RNG (xorshift64*).
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+        /// `0..max_len` values below `space`.
+        fn values(&mut self, space: u64, max_len: u64) -> Vec<u64> {
+            (0..self.below(max_len))
+                .map(|_| self.below(space))
+                .collect()
+        }
+        /// A run-shaped column: up to `max_runs` runs of 1..`max_run`
+        /// copies of a value below `space`.
+        fn run_shaped(&mut self, space: u64, max_runs: u64, max_run: u64) -> Vec<u64> {
+            let mut out = Vec::new();
+            for _ in 0..self.below(max_runs) {
+                let v = self.below(space);
+                out.extend(std::iter::repeat_n(v, 1 + self.below(max_run) as usize));
+            }
+            out
+        }
+        /// Up to `max_len` two-column rows over a small value space.
+        fn pairs(&mut self, max_len: u64) -> Vec<(u64, u64)> {
+            (0..self.below(max_len))
+                .map(|_| (self.below(8), self.below(8)))
+                .collect()
+        }
+    }
+
+    fn unzip(rows: &[(u64, u64)]) -> (Vec<u64>, Vec<u64>) {
+        rows.iter().copied().unzip()
+    }
+
+    fn sorted_pairs((l, r): (Vec<u32>, Vec<u32>)) -> Vec<(u32, u32)> {
+        let mut pairs: Vec<(u32, u32)> = l.into_iter().zip(r).collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    fn nested_loop_join(l: &[u64], r: &[u64]) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for (i, a) in l.iter().enumerate() {
+            for (j, b) in r.iter().enumerate() {
+                if a == b {
+                    out.push((i as u32, j as u32));
                 }
             }
-            nested.sort_unstable();
-
-            let (mls, mrs) = merge_join(&l, &r);
-            let mut m: Vec<(u32, u32)> = mls.into_iter().zip(mrs).collect();
-            m.sort_unstable();
-            prop_assert_eq!(&m, &nested);
-
-            let (hls, hrs) = hash_join(&l, &r);
-            let mut h: Vec<(u32, u32)> = hls.into_iter().zip(hrs).collect();
-            h.sort_unstable();
-            prop_assert_eq!(&h, &nested);
         }
+        out
+    }
 
-        /// Sort-based distinct matches a hash-set reference.
-        #[test]
-        fn distinct_matches_reference(
-            rows in proptest::collection::vec((0u64..8, 0u64..8), 0..150),
-        ) {
-            let c0: Vec<u64> = rows.iter().map(|r| r.0).collect();
-            let c1: Vec<u64> = rows.iter().map(|r| r.1).collect();
-            let sel = distinct_rows(&[&c0, &c1], rows.len());
-            let got: std::collections::BTreeSet<(u64, u64)> =
-                sel.iter().map(|&i| rows[i as usize]).collect();
-            let want: std::collections::BTreeSet<(u64, u64)> =
-                rows.iter().copied().collect();
-            prop_assert_eq!(&got, &want);
-            prop_assert_eq!(sel.len(), want.len());
+    /// `BTreeMap` group counts, as key columns followed by the counts.
+    fn btree_counts(rows: &[Vec<u64>], arity: usize) -> Vec<Vec<u64>> {
+        let mut counts: BTreeMap<&[u64], u64> = BTreeMap::new();
+        for r in rows {
+            *counts.entry(r).or_insert(0) += 1;
         }
-
-        /// Run-based kernels match their hash counterparts on sorted input.
-        #[test]
-        fn sorted_kernels_match_hash(
-            rows in proptest::collection::vec((0u64..8, 0u64..8), 0..200),
-        ) {
-            let mut rows = rows;
-            rows.sort_unstable();
-            let k0: Vec<u64> = rows.iter().map(|r| r.0).collect();
-            let k1: Vec<u64> = rows.iter().map(|r| r.1).collect();
-            prop_assert_eq!(group_count_sorted_1(&k0), group_count_1(&k0));
-            prop_assert_eq!(group_count_sorted_2(&k0, &k1), group_count_2(&k0, &k1));
-            // Positions of duplicate rows are interchangeable; compare the
-            // selected row values instead.
-            let values = |sel: &[u32]| -> Vec<(u64, u64)> {
-                sel.iter().map(|&i| rows[i as usize]).collect()
-            };
-            let fast = values(&distinct_sorted(&[&k0, &k1], rows.len()));
-            let mut slow = values(&distinct_rows(&[&k0, &k1], rows.len()));
-            slow.sort_unstable();
-            prop_assert_eq!(fast, slow);
+        let mut out = vec![Vec::new(); arity + 1];
+        for (k, c) in counts {
+            for (o, &v) in out.iter_mut().zip(k) {
+                o.push(v);
+            }
+            out[arity].push(c);
         }
+        out
+    }
 
-        /// group_count_1 totals match input length.
-        #[test]
-        fn group_counts_sum_to_len(keys in proptest::collection::vec(0u64..10, 0..200)) {
-            let (k, c) = group_count_1(&keys);
-            prop_assert_eq!(c.iter().sum::<u64>() as usize, keys.len());
-            prop_assert!(k.windows(2).all(|w| w[0] < w[1]));
+    /// Merge join ≡ hash join ≡ nested loops on arbitrary sorted data.
+    #[test]
+    fn join_kernels_agree() {
+        let mut rng = Rng(0x5EED_0001);
+        let engine = ColumnEngine::new();
+        for _ in 0..CASES {
+            let mut l = rng.values(30, 120);
+            let mut r = rng.values(30, 120);
+            l.sort_unstable();
+            r.sort_unstable();
+            let nested = nested_loop_join(&l, &r);
+            assert_eq!(sorted_pairs(merge_join(&l, &r)), nested);
+            let hashed = engine
+                .par_hash_join(&QueryBudget::unlimited(), &l, &r)
+                .expect("unlimited budget");
+            assert_eq!(sorted_pairs(hashed), nested);
         }
+    }
 
-        /// RunCol round-trips arbitrary run-shaped data, through slices
-        /// and monotone gathers included.
-        #[test]
-        fn runcol_roundtrips(
-            shape in proptest::collection::vec((0u64..12, 1usize..6), 0..60),
-        ) {
-            let flat: Vec<u64> = shape
-                .iter()
-                .flat_map(|&(v, n)| std::iter::repeat(v).take(n))
+    /// Hash distinct keeps exactly one position per distinct row — the
+    /// first.
+    #[test]
+    fn distinct_matches_reference() {
+        let mut rng = Rng(0x5EED_0002);
+        let engine = ColumnEngine::new();
+        for _ in 0..CASES {
+            let rows = rng.pairs(150);
+            let (c0, c1) = unzip(&rows);
+            let sel = engine
+                .par_distinct_hash(&QueryBudget::unlimited(), &[&c0, &c1], rows.len())
+                .expect("unlimited budget");
+            let mut seen = BTreeSet::new();
+            let want: Vec<u32> = (0..rows.len() as u32)
+                .filter(|&i| seen.insert(rows[i as usize]))
                 .collect();
+            assert_eq!(sel, want);
+        }
+    }
+
+    /// The sorted kernels match `BTreeMap` counts / `BTreeSet` rows on
+    /// sorted input.
+    #[test]
+    fn sorted_kernels_match_reference() {
+        let mut rng = Rng(0x5EED_0003);
+        for _ in 0..CASES {
+            let mut rows = rng.pairs(200);
+            rows.sort_unstable();
+            let (k0, k1) = unzip(&rows);
+            let rows1: Vec<Vec<u64>> = k0.iter().map(|&a| vec![a]).collect();
+            let rows2: Vec<Vec<u64>> = rows.iter().map(|&(a, b)| vec![a, b]).collect();
+            let all = 0..rows.len();
+            assert_eq!(
+                group_count_sorted(RunsView::Flat(&k0), &[], all.clone()),
+                btree_counts(&rows1, 1)
+            );
+            assert_eq!(
+                group_count_sorted(RunsView::Flat(&k0), &[&k1], all.clone()),
+                btree_counts(&rows2, 2)
+            );
+            let distinct: Vec<(u64, u64)> = distinct_sorted(&[&k0, &k1], all)
+                .iter()
+                .map(|&i| rows[i as usize])
+                .collect();
+            let want: BTreeSet<(u64, u64)> = rows.iter().copied().collect();
+            assert_eq!(distinct, want.into_iter().collect::<Vec<_>>());
+        }
+    }
+
+    /// Hash group-counts match `BTreeMap` counts at every key width (one
+    /// per packed-key type), sum to the input length and come out
+    /// strictly key-ascending.
+    #[test]
+    fn group_counts_sum_to_len() {
+        let mut rng = Rng(0x5EED_0004);
+        let engine = ColumnEngine::new();
+        for case in 0..CASES {
+            let arity = [1, 2, 3, 5][case % 4];
+            let n = rng.below(200) as usize;
+            let cols: Vec<Vec<u64>> = (0..arity)
+                .map(|_| (0..n).map(|_| rng.below(4)).collect())
+                .collect();
+            let views: Vec<&[u64]> = cols.iter().map(Vec::as_slice).collect();
+            let out = engine
+                .par_hash_group_count(&QueryBudget::unlimited(), &views, n)
+                .expect("unlimited budget");
+            let got: Vec<Vec<u64>> = (0..out.arity()).map(|c| out.col(c).to_vec()).collect();
+            let rows: Vec<Vec<u64>> = (0..n)
+                .map(|i| cols.iter().map(|c| c[i]).collect())
+                .collect();
+            assert_eq!(got, btree_counts(&rows, arity), "arity {arity}");
+            assert_eq!(got[arity].iter().sum::<u64>() as usize, n);
+        }
+    }
+
+    /// RunCol round-trips arbitrary run-shaped data, through slices and
+    /// monotone gathers included.
+    #[test]
+    fn runcol_roundtrips() {
+        let mut rng = Rng(0x5EED_0005);
+        for _ in 0..CASES {
+            let flat = rng.run_shaped(12, 60, 5);
             let runs = RunCol::from_flat(&flat);
-            prop_assert_eq!(runs.expand(), flat.clone());
-            prop_assert!(runs.run_count() <= flat.len());
+            assert_eq!(runs.expand(), flat);
+            assert!(runs.run_count() <= flat.len());
             if !flat.is_empty() {
                 let mid = flat.len() / 2;
-                prop_assert_eq!(runs.slice(0..mid).expand(), flat[..mid].to_vec());
-                prop_assert_eq!(runs.slice(mid..flat.len()).expand(), flat[mid..].to_vec());
+                assert_eq!(runs.slice(0..mid).expand(), flat[..mid].to_vec());
+                assert_eq!(runs.slice(mid..flat.len()).expand(), flat[mid..].to_vec());
                 let sel: Vec<u32> = (0..flat.len() as u32).step_by(2).collect();
                 let want: Vec<u64> = sel.iter().map(|&i| flat[i as usize]).collect();
-                prop_assert_eq!(runs.gather(&sel).expand(), want);
+                assert_eq!(runs.gather(&sel).expand(), want);
             }
         }
+    }
 
-        /// Run-aware selection kernels are bit-identical to their flat
-        /// twins on random run-shaped inputs.
-        #[test]
-        fn run_select_kernels_match_flat_twins(
-            shape in proptest::collection::vec((0u64..8, 1usize..5), 0..50),
-            probes in proptest::collection::vec(0u64..10, 0..12),
-            value in 0u64..10,
-            negate in proptest::bool::ANY,
-        ) {
-            let flat: Vec<u64> = shape
-                .iter()
-                .flat_map(|&(v, n)| std::iter::repeat(v).take(n))
-                .collect();
+    /// Run-aware and sorted selection kernels are bit-identical to a
+    /// plain position filter on random run-shaped inputs.
+    #[test]
+    fn run_select_kernels_match_flat_twins() {
+        let mut rng = Rng(0x5EED_0006);
+        let positions = |col: &[u64], keep: &dyn Fn(u64) -> bool| -> Vec<u32> {
+            (0..col.len() as u32)
+                .filter(|&i| keep(col[i as usize]))
+                .collect()
+        };
+        for _ in 0..CASES {
+            let flat = rng.run_shaped(8, 50, 4);
+            let probes = rng.values(10, 12);
+            let value = rng.below(10);
+            let negate = rng.below(2) == 1;
             let runs = RunCol::from_flat(&flat);
-            prop_assert_eq!(
-                select_cmp_runs(&runs, value, negate),
-                select_cmp(&flat, value, negate)
-            );
-            prop_assert_eq!(select_in_runs(&runs, &probes), select_in(&flat, &probes));
+            let cmp = positions(&flat, &|v| (v == value) != negate);
+            assert_eq!(select_cmp(&flat, value, negate), cmp);
+            assert_eq!(select_cmp_runs(&runs, value, negate), cmp);
+            let member = positions(&flat, &|v| probes.contains(&v));
+            assert_eq!(select_in(&flat, &probes), member);
+            assert_eq!(select_in_runs(&runs, &probes), member);
             // Sorted variants need a sorted column.
             let mut sorted = flat.clone();
             sorted.sort_unstable();
             let sorted_runs = RunCol::from_flat(&sorted);
-            prop_assert_eq!(
-                select_in_sorted(&sorted, &probes),
-                select_in(&sorted, &probes)
-            );
-            prop_assert_eq!(
-                select_in_sorted_runs(&sorted_runs, &probes),
-                select_in(&sorted, &probes)
+            let member = positions(&sorted, &|v| probes.contains(&v));
+            assert_eq!(select_in_sorted(RunsView::Flat(&sorted), &probes), member);
+            assert_eq!(
+                select_in_sorted(RunsView::Runs(&sorted_runs), &probes),
+                member
             );
         }
+    }
 
-        /// The run-view merge join emits the exact flat merge-join pair
-        /// stream on every flat/runs side combination.
-        #[test]
-        fn merge_join_runs_matches_flat(
-            ls in proptest::collection::vec((0u64..10, 1usize..4), 0..30),
-            rs in proptest::collection::vec((0u64..10, 1usize..4), 0..30),
-        ) {
-            let mut l: Vec<u64> = ls.iter().flat_map(|&(v, n)| std::iter::repeat(v).take(n)).collect();
-            let mut r: Vec<u64> = rs.iter().flat_map(|&(v, n)| std::iter::repeat(v).take(n)).collect();
+    /// The run-view merge join emits one pair stream on every flat/runs
+    /// side combination — the nested-loop pairs, in (left, right) order.
+    #[test]
+    fn merge_join_runs_matches_flat() {
+        let mut rng = Rng(0x5EED_0007);
+        for _ in 0..CASES {
+            let mut l = rng.run_shaped(10, 30, 3);
+            let mut r = rng.run_shaped(10, 30, 3);
             l.sort_unstable();
             r.sort_unstable();
-            let lr = RunCol::from_flat(&l);
-            let rr = RunCol::from_flat(&r);
-            let want = merge_join(&l, &r);
-            prop_assert_eq!(merge_join_runs(RunsView::Runs(&lr), RunsView::Runs(&rr)), want.clone());
-            prop_assert_eq!(merge_join_runs(RunsView::Runs(&lr), RunsView::Flat(&r)), want.clone());
-            prop_assert_eq!(merge_join_runs(RunsView::Flat(&l), RunsView::Runs(&rr)), want);
+            let (lr, rr) = (RunCol::from_flat(&l), RunCol::from_flat(&r));
+            // Sorted inputs: nested loops already emit in merge order.
+            let want = nested_loop_join(&l, &r);
+            for (lv, rv) in [
+                (RunsView::Flat(&l), RunsView::Flat(&r)),
+                (RunsView::Runs(&lr), RunsView::Runs(&rr)),
+                (RunsView::Runs(&lr), RunsView::Flat(&r)),
+                (RunsView::Flat(&l), RunsView::Runs(&rr)),
+            ] {
+                let (ls, rs) = merge_join_runs(lv, rv);
+                let got: Vec<(u32, u32)> = ls.into_iter().zip(rs).collect();
+                assert_eq!(got, want, "{lv:?} x {rv:?}");
+            }
         }
+    }
 
-        /// Run-based aggregation reads counts off run lengths, identical
-        /// to the scanning kernels.
-        #[test]
-        fn run_group_counts_match_flat(
-            rows in proptest::collection::vec((0u64..8, 0u64..8), 0..150),
-        ) {
-            let mut rows = rows;
+    /// Run-based aggregation reads counts off run lengths: a run-encoded
+    /// lead column answers like `BTreeMap` counts, whole and per range.
+    #[test]
+    fn run_group_counts_match_flat() {
+        let mut rng = Rng(0x5EED_0008);
+        for _ in 0..CASES {
+            let mut rows = rng.pairs(150);
             rows.sort_unstable();
-            let k0: Vec<u64> = rows.iter().map(|r| r.0).collect();
-            let k1: Vec<u64> = rows.iter().map(|r| r.1).collect();
+            let (k0, k1) = unzip(&rows);
             let runs0 = RunCol::from_flat(&k0);
-            prop_assert_eq!(group_count_sorted_runs(&runs0), group_count_sorted_1(&k0));
-            prop_assert_eq!(
-                group_count_sorted_2_runs(&runs0, &k1),
-                group_count_sorted_2(&k0, &k1)
-            );
+            let rows1: Vec<Vec<u64>> = k0.iter().map(|&a| vec![a]).collect();
+            let rows2: Vec<Vec<u64>> = rows.iter().map(|&(a, b)| vec![a, b]).collect();
+            // Any lead-run boundary is a legal range edge.
+            let cut = runs0.run_count() / 2;
+            let mid = if cut == 0 { 0 } else { runs0.run_start(cut) };
+            for range in [0..rows.len(), 0..mid, mid..rows.len()] {
+                assert_eq!(
+                    group_count_sorted(RunsView::Runs(&runs0), &[], range.clone()),
+                    btree_counts(&rows1[range.clone()], 1)
+                );
+                assert_eq!(
+                    group_count_sorted(RunsView::Runs(&runs0), &[&k1], range.clone()),
+                    btree_counts(&rows2[range], 2)
+                );
+            }
         }
     }
 }

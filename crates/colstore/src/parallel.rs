@@ -11,16 +11,16 @@
 //! partitioning unchanged, and result equivalence across thread counts is
 //! structural, not accidental.
 //!
-//! Two execution shapes cover every operator:
-//!
-//! * [`WorkerPool::run_with`] — uniform morsel loops. Each worker owns one
-//!   *scratch* value (`init` runs once per worker, **not** once per
-//!   morsel) that it reuses across every morsel it pulls — this is how
-//!   hash-aggregation maps and join scratch survive across morsels
-//!   instead of being reallocated per task.
-//! * [`WorkerPool::run_reduce`] — per-worker partial aggregation. Workers
-//!   fold morsels into their scratch and the scratches themselves are the
-//!   result (at most one per worker), merged by the caller at the barrier.
+//! One drain loop serves every operator: [`WorkerPool::run_reduce`] has
+//! each worker fold the morsels it pulls into one *scratch* value it owns
+//! (`init` runs once per worker, **not** once per morsel — this is how
+//! hash-aggregation maps survive across morsels instead of being
+//! reallocated per task) and returns the scratches for the caller to merge
+//! at the barrier. [`WorkerPool::run_with`] (one output per morsel, in
+//! morsel order) and [`WorkerPool::run_once`] (heterogeneous one-shot
+//! tasks) are thin adapters over it. A batch of one morsel, or a pool of
+//! one thread, runs the same loop inline on the caller's thread — that
+//! *is* the sequential form of every kernel.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -103,9 +103,9 @@ pub type OnceTask<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
 /// A scoped-thread worker pool of a fixed width.
 ///
 /// The pool is stateless between batches: each `run_*` call spawns up to
-/// `threads` scoped workers (`std::thread::scope`), drains the batch, and
-/// joins them. With one thread (or one morsel) the batch runs inline on
-/// the caller's thread — no spawn, same code path, same output.
+/// `threads` scoped worker threads, drains the batch, and joins them.
+/// With one thread (or one morsel) the batch runs inline on the caller's
+/// thread — no spawn, same code path, same output.
 #[derive(Debug)]
 pub struct WorkerPool {
     threads: usize,
@@ -124,52 +124,6 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Runs `parts` morsel tasks, returning their outputs **in morsel
-    /// order**. Each worker builds one scratch value with `init` and
-    /// reuses it for every morsel it pulls.
-    pub fn run_with<S, T, I, F>(&self, parts: usize, init: I, task: F) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
-    {
-        let workers = self.threads.min(parts);
-        if workers <= 1 {
-            let mut scratch = init();
-            return (0..parts).map(|i| task(&mut scratch, i)).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<T>> = (0..parts).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = init();
-                        let mut got: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= parts {
-                                break;
-                            }
-                            got.push((i, task(&mut scratch, i)));
-                        }
-                        got
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("worker panicked") {
-                    slots[i] = Some(r);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every morsel produced"))
-            .collect()
-    }
-
     /// Runs `parts` morsel tasks that fold into per-worker scratch values
     /// and returns the scratches (one per worker that ran, at most
     /// `threads`). The caller merges them at the barrier; merge order is
@@ -181,38 +135,47 @@ impl WorkerPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) + Sync,
     {
-        let workers = self.threads.min(parts);
-        if workers <= 1 {
+        let next = AtomicUsize::new(0);
+        // The one drain loop: pull morsel indices until the batch is dry.
+        let drain = || {
             let mut scratch = init();
-            for i in 0..parts {
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= parts {
+                    break scratch;
+                }
                 fold(&mut scratch, i);
             }
-            return vec![scratch];
+        };
+        let workers = self.threads.min(parts);
+        if workers <= 1 {
+            return vec![drain()];
         }
-
-        let next = AtomicUsize::new(0);
-        let mut out: Vec<S> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = init();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= parts {
-                                break;
-                            }
-                            fold(&mut scratch, i);
-                        }
-                        scratch
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.push(h.join().expect("worker panicked"));
-            }
-        });
-        out
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    }
+
+    /// Runs `parts` morsel tasks, returning their outputs **in morsel
+    /// order**.
+    pub fn run_with<T, F>(&self, parts: usize, task: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let mut slots: Vec<Option<T>> = (0..parts).map(|_| None).collect();
+        let got = self.run_reduce(parts, Vec::new, |got, i| got.push((i, task(i))));
+        for (i, out) in got.into_iter().flatten() {
+            slots[i] = Some(out);
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every morsel produced"))
+            .collect()
     }
 
     /// Runs a batch of heterogeneous one-shot tasks (e.g. tasks that own
@@ -221,46 +184,16 @@ impl WorkerPool {
     where
         T: Send,
     {
-        let parts = tasks.len();
-        let workers = self.threads.min(parts);
-        if workers <= 1 {
-            return tasks.into_iter().map(|t| t()).collect();
-        }
-
-        let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<OnceTask<'env, T>>>> =
             tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let mut out: Vec<Option<T>> = (0..parts).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut got: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= parts {
-                                break;
-                            }
-                            let task = slots[i]
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .take()
-                                .expect("each task taken once");
-                            got.push((i, task()));
-                        }
-                        got
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("worker panicked") {
-                    out[i] = Some(r);
-                }
-            }
-        });
-        out.into_iter()
-            .map(|s| s.expect("every task produced"))
-            .collect()
+        self.run_with(slots.len(), |i| {
+            let task = slots[i]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .take()
+                .expect("each task taken once");
+            task()
+        })
     }
 }
 
@@ -313,7 +246,7 @@ mod tests {
     fn run_with_returns_results_in_morsel_order() {
         for threads in [1, 2, 4, 8] {
             let pool = WorkerPool::new(threads);
-            let got = pool.run_with(37, || (), |_, i| i * 3);
+            let got = pool.run_with(37, |i| i * 3);
             assert_eq!(got, (0..37).map(|i| i * 3).collect::<Vec<_>>());
         }
     }
@@ -326,17 +259,15 @@ mod tests {
             let pool = WorkerPool::new(threads);
             let allocs = AtomicUsize::new(0);
             let parts = 64;
-            let _ = pool.run_with(
+            let scratches = pool.run_reduce(
                 parts,
                 || {
                     allocs.fetch_add(1, Ordering::Relaxed);
                     Vec::<u64>::new()
                 },
-                |scratch, i| {
-                    scratch.push(i as u64);
-                    scratch.len()
-                },
+                |scratch, i| scratch.push(i as u64),
             );
+            assert_eq!(scratches.iter().map(Vec::len).sum::<usize>(), parts);
             let n = allocs.load(Ordering::Relaxed);
             assert!(
                 n <= threads,

@@ -456,4 +456,35 @@ mod dispatch {
             naive::normalize(naive::execute(&select, &triples))
         );
     }
+
+    /// The cost model prices any group-count over key-sorted input as the
+    /// linear kernel; the executor must agree at every key count, not only
+    /// one and two.
+    #[test]
+    fn three_key_sorted_group_count_dispatches_the_sorted_kernel() {
+        let triples: Vec<Triple> = (0..200)
+            .map(|i| Triple::new(i % 20, i % 4, i % 7))
+            .collect();
+        let m = StorageManager::new(MachineProfile::B);
+        let mut engine = ColumnEngine::new();
+        engine.load_triple_store(&m, &triples, SortOrder::Spo, true);
+
+        // Unbound scan of an SPO-clustered table: sorted by (s, p, o).
+        let group3 = Plan::GroupCount {
+            input: Box::new(Plan::ScanTriples {
+                s: None,
+                p: None,
+                o: None,
+            }),
+            keys: vec![0, 1, 2],
+        };
+        engine.reset_exec_stats();
+        let got = engine.execute(&group3).expect("group3 runs");
+        assert_eq!(engine.exec_stats().sorted_group_counts, 1);
+        assert_eq!(engine.exec_stats().hash_group_counts, 0);
+        assert_eq!(
+            naive::normalize(got.to_rows()),
+            naive::normalize(naive::execute(&group3, &triples))
+        );
+    }
 }
