@@ -1,5 +1,5 @@
-//! Runs every experiment and writes the full report (EXPERIMENTS.md body)
-//! to stdout. Pass a file path argument to also write it there.
+//! Runs every experiment and writes the full Markdown report to stdout.
+//! Pass a file path argument to also write it there.
 use std::io::Write;
 
 fn main() {

@@ -18,7 +18,7 @@
 //! | `table7` | Table 7 — hot runs, full configuration matrix |
 //! | `fig6`   | Figure 6 — execution time vs number of properties |
 //! | `fig7`   | Figure 7 — splitting scalability experiment |
-//! | `all_experiments` | everything above, writing EXPERIMENTS.md |
+//! | `all_experiments` | everything above as one Markdown report (stdout, or a path argument) |
 //!
 //! Environment knobs: `SWANS_SCALE` (fraction of the 50.3M-triple Barton
 //! data set to synthesize, default 0.02), `SWANS_REPEATS` (averaging, the

@@ -1,5 +1,5 @@
 //! Reference numbers transcribed from the paper, for side-by-side
-//! comparison in the harness output and EXPERIMENTS.md.
+//! comparison in the harness output.
 
 /// Table 1 — data set details of the real Barton dump.
 pub mod table1 {

@@ -64,8 +64,8 @@ impl ColumnEngine {
     /// surface as [`EngineError`] — plan execution never panics.
     ///
     /// Join chains are first re-planned by the cost-based enumerator
-    /// ([`optimize_cbo`](swans_plan::optimize::optimize_cbo): DP over the join graph plus the leapfrog star
-    /// kernel, priced against the statistics catalog, memoized per
+    /// ([`optimize_cbo`](swans_plan::optimize::optimize_cbo): DP over the
+    /// join graph, priced against the statistics catalog, memoized per
     /// submitted plan) — a physical rewrite that never changes answers,
     /// only which kernel runs. With verification active
     /// ([`ColumnEngine::set_verify`]; the default in debug builds), the
@@ -288,53 +288,10 @@ impl ColumnEngine {
                 cols.extend(rg.into_cols());
                 Chunk::from_optional(lsel.len(), cols)
             }
+            // A star join runs as the binary merge/hash join chain it is
+            // defined as.
             Plan::LeapfrogJoin { inputs, cols } => {
-                // The multi-way star kernel requires every input
-                // derived-sorted on its key column; an input that lost
-                // its order sends the whole node through its equivalent
-                // binary-join fold.
-                let dispatch = inputs
-                    .iter()
-                    .zip(cols)
-                    .all(|(inp, &c)| derive_props(inp, ctx.props).sorted_on(c));
-                if !dispatch {
-                    return self.exec(&leapfrog_fold(inputs, cols), needed, ctx);
-                }
-                bump(&self.stats.leapfrog_dispatches);
-                let mut children = Vec::with_capacity(inputs.len());
-                let mut off = 0usize;
-                for (inp, &c) in inputs.iter().zip(cols) {
-                    let a = inp.arity();
-                    children.push(self.exec(inp, low_bits(needed >> off, a) | bit(c), ctx)?);
-                    off += a;
-                }
-                let sels = {
-                    let keys: Vec<RunsView<'_>> = children
-                        .iter()
-                        .zip(cols)
-                        .map(|(ch, &c)| runs_view(ch, c))
-                        .collect();
-                    ops::leapfrog_join(&keys)
-                };
-                let len = sels[0].len();
-                // The kernel materialized one selection vector per input.
-                ctx.budget.charge(4 * (sels.len() as u64) * len as u64)?;
-                let mut out: Vec<Option<ColData>> = Vec::new();
-                let mut off = 0usize;
-                for ((mut ch, sel), &c) in children.into_iter().zip(&sels).zip(cols) {
-                    let a = ch.arity();
-                    // Key columns the parent never reads are dropped
-                    // before the gather (the binary join's key-drop
-                    // rule, applied per input).
-                    if (needed >> off) & bit(c) == 0 {
-                        ch.take_col(c);
-                    }
-                    // The derivation claims no run columns on leapfrog
-                    // output — every gather comes out flat.
-                    out.extend(self.par_gather(ctx.budget, &ch, sel, false)?.into_cols());
-                    off += a;
-                }
-                Chunk::from_optional(len, out)
+                return self.exec(&leapfrog_fold(inputs, cols), needed, ctx)
             }
             Plan::Project { input, cols } => {
                 let mut child_needed = 0u64;

@@ -67,12 +67,6 @@ exec_counters! {
     /// Joins executed by the partitioned hash join
     /// ([`crate::ops::JoinHashPartition`] build, morsel-parallel probe).
     hash_joins,
-    /// Multi-way star joins executed by the [`crate::ops::leapfrog_join`]
-    /// kernel (every input derived-sorted on its key column). A
-    /// leapfrog node whose inputs lost their order falls back to the
-    /// binary-join fold, counting under `merge_joins`/`hash_joins`
-    /// instead.
-    leapfrog_dispatches,
     /// Group-counts executed by the run-based sorted kernel
     /// ([`crate::ops::group_count_sorted`], any key count).
     sorted_group_counts,

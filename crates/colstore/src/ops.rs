@@ -319,16 +319,6 @@ impl<'a> RunsView<'a> {
         }
     }
 
-    /// First position `>= from` holding a value `>= v` — the galloping
-    /// step of [`leapfrog_join`]. Binary search on flat input, a header
-    /// search on run-encoded input.
-    pub fn seek(&self, v: u64, from: usize) -> usize {
-        match self {
-            RunsView::Flat(c) => from + c[from..].partition_point(|&x| x < v),
-            RunsView::Runs(_) => self.lower_bound(v).max(from),
-        }
-    }
-
     /// End (exclusive) of the maximal equal-value run containing `pos` —
     /// read off the headers in O(log runs) on run-encoded input.
     pub fn run_end_at(&self, pos: usize) -> usize {
@@ -390,91 +380,6 @@ impl<'a> RunsView<'a> {
                 *buf = r.slice(range);
                 RunsView::Runs(buf)
             }
-        }
-    }
-}
-
-/// Multi-way leapfrog intersection join over sorted key columns; returns
-/// one selection vector per input.
-///
-/// The emitted row stream is **bit-identical** to the left-deep fold of
-/// [`merge_join`]s `((I0 ⋈ I1) ⋈ I2) ⋈ …` that joins every later input
-/// against input 0's key: keys ascend, and each matching key emits the
-/// cross-block of its k equal-value runs in row-major order (input 0
-/// outermost, the last input fastest). But nothing pairwise is ever
-/// materialized — each input gallops ([`RunsView::seek`]) to the current
-/// maximum front value, skipping whole key ranges no other input holds.
-/// That is the structural win on selective star patterns, where the
-/// binary fold would build a huge two-way intermediate only for the third
-/// input to discard almost all of it.
-pub fn leapfrog_join(keys: &[RunsView<'_>]) -> Vec<Vec<u32>> {
-    let k = keys.len();
-    debug_assert!(k >= 2, "leapfrog needs at least two inputs");
-    #[cfg(debug_assertions)]
-    for key in keys {
-        debug_assert!((1..key.len()).all(|i| key.value_at(i - 1) <= key.value_at(i)));
-    }
-    let mut sels: Vec<Vec<u32>> = vec![Vec::new(); k];
-    let mut pos = vec![0usize; k];
-    if keys.iter().any(RunsView::is_empty) {
-        return sels;
-    }
-    let mut vmax = (0..k).map(|i| keys[i].value_at(0)).max().unwrap();
-    loop {
-        // Gallop every lagging input to the frontier; an input landing
-        // past it raises the frontier and restarts the round.
-        let mut aligned = true;
-        for i in 0..k {
-            if keys[i].value_at(pos[i]) < vmax {
-                pos[i] = keys[i].seek(vmax, pos[i]);
-                if pos[i] == keys[i].len() {
-                    return sels;
-                }
-            }
-            let v = keys[i].value_at(pos[i]);
-            if v > vmax {
-                vmax = v;
-                aligned = false;
-            }
-        }
-        if !aligned {
-            continue;
-        }
-        // Every front sits on `vmax`: emit its cross-block and advance
-        // all inputs past their equal-value runs.
-        let ends: Vec<usize> = (0..k).map(|i| keys[i].run_end_at(pos[i])).collect();
-        emit_block(&mut sels, &pos, &ends);
-        for i in 0..k {
-            pos[i] = ends[i];
-            if pos[i] == keys[i].len() {
-                return sels;
-            }
-        }
-        vmax = (0..k).map(|i| keys[i].value_at(pos[i])).max().unwrap();
-    }
-}
-
-/// Appends the cross-product block `starts[i]..ends[i]` to each selection
-/// vector, counting in row-major order (input 0 slowest, last fastest) —
-/// the [`merge_join`]-fold emission order.
-fn emit_block(sels: &mut [Vec<u32>], starts: &[usize], ends: &[usize]) {
-    let k = starts.len();
-    let mut idx: Vec<usize> = starts.to_vec();
-    loop {
-        for (sel, &i) in sels.iter_mut().zip(&idx) {
-            sel.push(i as u32);
-        }
-        let mut d = k;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < ends[d] {
-                break;
-            }
-            idx[d] = starts[d];
         }
     }
 }
@@ -1005,85 +910,11 @@ mod tests {
         );
     }
 
-    /// Reference for [`leapfrog_join`]: the left-deep [`merge_join`] fold
-    /// joining every later input against input 0's key, with selection
-    /// vectors composed back onto the original inputs.
-    fn leapfrog_fold_reference(cols: &[Vec<u64>]) -> Vec<Vec<u32>> {
-        let mut sels: Vec<Vec<u32>> = vec![(0..cols[0].len() as u32).collect()];
-        let mut acc_keys: Vec<u64> = cols[0].clone();
-        for c in &cols[1..] {
-            let (ls, rs) = merge_join(&acc_keys, c);
-            for s in &mut sels {
-                *s = ls.iter().map(|&i| s[i as usize]).collect();
-            }
-            acc_keys = ls.iter().map(|&i| acc_keys[i as usize]).collect();
-            sels.push(rs);
-        }
-        sels
-    }
-
-    #[test]
-    fn leapfrog_join_is_bit_identical_to_the_merge_join_fold() {
-        let shapes: [Vec<Vec<u64>>; 5] = [
-            // Distinct keys, partial overlap.
-            vec![vec![1, 3, 5, 7], vec![2, 3, 5, 9], vec![3, 4, 5]],
-            // Heavy duplicates: cross-blocks in every input.
-            vec![vec![2, 2, 2, 6, 6], vec![2, 2, 6], vec![1, 2, 6, 6]],
-            // Two-way degenerates to a plain merge join.
-            vec![vec![1, 2, 2, 3, 7], vec![0, 2, 2, 3, 3, 9]],
-            // Disjoint: empty output after galloping past everything.
-            vec![vec![1, 4, 8], vec![2, 5, 9], vec![3, 6, 10]],
-            // Four-way with one selective driver.
-            vec![
-                (0..60).collect(),
-                (0..60).map(|i| i / 2).collect(),
-                vec![7, 30, 31, 59],
-                (0..60).filter(|i| i % 3 == 0).collect(),
-            ],
-        ];
-        for cols in &shapes {
-            let want = leapfrog_fold_reference(cols);
-            let flat: Vec<RunsView> = cols.iter().map(|c| RunsView::Flat(c)).collect();
-            assert_eq!(leapfrog_join(&flat), want, "flat views on {cols:?}");
-            let runcols: Vec<RunCol> = cols.iter().map(|c| RunCol::from_flat(c)).collect();
-            let runs: Vec<RunsView> = runcols.iter().map(RunsView::Runs).collect();
-            assert_eq!(leapfrog_join(&runs), want, "run views on {cols:?}");
-            // Mixed flat/runs sides agree too.
-            let mixed: Vec<RunsView> = cols
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if i % 2 == 0 {
-                        RunsView::Flat(c)
-                    } else {
-                        RunsView::Runs(&runcols[i])
-                    }
-                })
-                .collect();
-            assert_eq!(leapfrog_join(&mixed), want, "mixed views on {cols:?}");
-        }
-    }
-
-    #[test]
-    fn leapfrog_join_empty_input_short_circuits() {
-        let a = vec![1u64, 2, 3];
-        let empty: Vec<u64> = Vec::new();
-        let got = leapfrog_join(&[RunsView::Flat(&a), RunsView::Flat(&empty)]);
-        assert_eq!(got, vec![Vec::<u32>::new(), Vec::new()]);
-    }
-
     #[test]
     fn runs_view_seek_and_run_end_agree_between_variants() {
         let flat = [1u64, 1, 4, 4, 4, 9];
         let runs = RunCol::from_flat(&flat);
         for from in 0..flat.len() {
-            for v in 0..11 {
-                assert_eq!(
-                    RunsView::Runs(&runs).seek(v, from),
-                    RunsView::Flat(&flat).seek(v, from),
-                    "seek({v}, {from})"
-                );
-            }
             assert_eq!(
                 RunsView::Runs(&runs).run_end_at(from),
                 RunsView::Flat(&flat).run_end_at(from),

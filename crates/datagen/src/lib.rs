@@ -33,7 +33,7 @@
 //!   non-trivial work and a non-empty answer.
 //!
 //! [`BartonConfig::scale`] shrinks the triple count (default 1/50); the
-//! harness records achieved-vs-paper statistics in EXPERIMENTS.md.
+//! `swans-bench` harness reports achieved-vs-paper statistics.
 
 pub mod barton;
 pub mod rng;

@@ -87,12 +87,9 @@ pub enum Plan {
     /// Multi-way equi-join of ≥2 inputs on one shared key (the star
     /// pattern): row `i` of the output concatenates one row from every
     /// input, all carrying the same value at their respective `cols`
-    /// position. Semantically identical to the left-deep fold of binary
+    /// position. Defined as, and executed as, the left-deep fold of binary
     /// [`Plan::Join`]s `((inputs[0] ⋈ inputs[1]) ⋈ inputs[2]) ⋈ ...` on
-    /// that key — including row order — but executable by the
-    /// leapfrog-triejoin kernel when every input is sorted on its key
-    /// column, which intersects all inputs at once instead of
-    /// materializing pairwise intermediates.
+    /// that key ([`leapfrog_fold`]) — including row order.
     LeapfrogJoin {
         /// Input plans, in output-schema order.
         inputs: Vec<Plan>,
@@ -183,172 +180,44 @@ impl Plan {
     /// rendering aggregate counts as numbers — for *any* plan, not just the
     /// benchmark queries whose count columns are known by convention.
     pub fn output_kinds(&self) -> Vec<ColumnKind> {
+        (0..self.arity()).map(|c| self.output_kind(c)).collect()
+    }
+
+    /// The kind of output column `col` (see [`Plan::output_kinds`]).
+    pub(crate) fn output_kind(&self, col: usize) -> ColumnKind {
         match self {
-            Plan::ScanTriples { .. } | Plan::ScanProperty { .. } => {
-                vec![ColumnKind::Term; self.arity()]
-            }
+            Plan::ScanTriples { .. } | Plan::ScanProperty { .. } => ColumnKind::Term,
             Plan::Select { input, .. }
             | Plan::FilterIn { input, .. }
             | Plan::HavingCountGt { input, .. }
-            | Plan::Distinct { input } => input.output_kinds(),
-            Plan::Join { left, right, .. } => {
-                let mut kinds = left.output_kinds();
-                kinds.extend(right.output_kinds());
-                kinds
-            }
+            | Plan::Distinct { input } => input.output_kind(col),
+            Plan::Join { left, right, .. } => match col.checked_sub(left.arity()) {
+                Some(rc) => right.output_kind(rc),
+                None => left.output_kind(col),
+            },
             Plan::LeapfrogJoin { inputs, .. } => {
-                inputs.iter().flat_map(Plan::output_kinds).collect()
+                let mut col = col;
+                for input in inputs {
+                    match col.checked_sub(input.arity()) {
+                        Some(rest) => col = rest,
+                        None => return input.output_kind(col),
+                    }
+                }
+                panic!("column out of range for a LeapfrogJoin")
             }
-            Plan::Project { input, cols } => {
-                let kinds = input.output_kinds();
-                cols.iter().map(|&c| kinds[c]).collect()
-            }
-            Plan::GroupCount { input, keys } => {
-                let kinds = input.output_kinds();
-                let mut out: Vec<ColumnKind> = keys.iter().map(|&k| kinds[k]).collect();
-                out.push(ColumnKind::Count);
-                out
-            }
-            Plan::UnionAll { inputs } => inputs.first().map(Plan::output_kinds).unwrap_or_default(),
+            Plan::Project { input, cols } => input.output_kind(cols[col]),
+            Plan::GroupCount { input, keys } => keys
+                .get(col)
+                .map_or(ColumnKind::Count, |&k| input.output_kind(k)),
+            Plan::UnionAll { inputs } => inputs[0].output_kind(col),
         }
     }
 
-    /// Validates column references and union compatibility, returning a
-    /// human-readable description of the first problem found.
+    /// Validates column references, star shapes and union compatibility —
+    /// the verifier's flow-typing layer ([`mod@crate::verify`]), rendered as a
+    /// description of the first (deepest) problem, naming it by plan path.
     pub fn validate(&self) -> Result<(), String> {
-        match self {
-            Plan::ScanTriples { .. } => Ok(()),
-            Plan::ScanProperty { .. } => Ok(()),
-            Plan::Select { input, pred } => {
-                input.validate()?;
-                if pred.col >= input.arity() {
-                    return Err(format!(
-                        "Select references column {} of an arity-{} input",
-                        pred.col,
-                        input.arity()
-                    ));
-                }
-                Ok(())
-            }
-            Plan::Join {
-                left,
-                right,
-                left_col,
-                right_col,
-            } => {
-                left.validate()?;
-                right.validate()?;
-                if *left_col >= left.arity() {
-                    return Err(format!(
-                        "Join left column {} out of range (arity {})",
-                        left_col,
-                        left.arity()
-                    ));
-                }
-                if *right_col >= right.arity() {
-                    return Err(format!(
-                        "Join right column {} out of range (arity {})",
-                        right_col,
-                        right.arity()
-                    ));
-                }
-                Ok(())
-            }
-            Plan::LeapfrogJoin { inputs, cols } => {
-                if inputs.len() < 2 {
-                    return Err(format!(
-                        "LeapfrogJoin needs at least 2 inputs, has {}",
-                        inputs.len()
-                    ));
-                }
-                if cols.len() != inputs.len() {
-                    return Err(format!(
-                        "LeapfrogJoin has {} inputs but {} join columns",
-                        inputs.len(),
-                        cols.len()
-                    ));
-                }
-                for (i, (p, &c)) in inputs.iter().zip(cols.iter()).enumerate() {
-                    p.validate()?;
-                    if c >= p.arity() {
-                        return Err(format!(
-                            "LeapfrogJoin input {i} join column {c} out of range (arity {})",
-                            p.arity()
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            Plan::FilterIn { input, col, .. } => {
-                input.validate()?;
-                if *col >= input.arity() {
-                    return Err(format!(
-                        "FilterIn references column {} of an arity-{} input",
-                        col,
-                        input.arity()
-                    ));
-                }
-                Ok(())
-            }
-            Plan::Project { input, cols } => {
-                input.validate()?;
-                for &c in cols {
-                    if c >= input.arity() {
-                        return Err(format!(
-                            "Project references column {c} of an arity-{} input",
-                            input.arity()
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            Plan::GroupCount { input, keys } => {
-                input.validate()?;
-                for &k in keys {
-                    if k >= input.arity() {
-                        return Err(format!(
-                            "GroupCount key {k} out of range (arity {})",
-                            input.arity()
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            Plan::HavingCountGt { input, .. } => {
-                input.validate()?;
-                if input.arity() == 0 {
-                    return Err("HavingCountGt over empty schema".into());
-                }
-                Ok(())
-            }
-            Plan::UnionAll { inputs } => {
-                if inputs.is_empty() {
-                    return Err("UnionAll with no inputs".into());
-                }
-                let a = inputs[0].arity();
-                let kinds = inputs[0].output_kinds();
-                for (i, p) in inputs.iter().enumerate() {
-                    p.validate()?;
-                    if p.arity() != a {
-                        return Err(format!(
-                            "UnionAll input {i} has arity {} but input 0 has {a}",
-                            p.arity()
-                        ));
-                    }
-                    // Kinds must agree too: `output_kinds` reports only the
-                    // first input, so a branch mixing counts into a term
-                    // column (or vice versa) would decode wrongly.
-                    if p.output_kinds() != kinds {
-                        return Err(format!(
-                            "UnionAll input {i} has column kinds {:?} but input 0 has {kinds:?}",
-                            p.output_kinds()
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            Plan::Distinct { input } => input.validate(),
-        }
+        crate::verify::check_flow(self).map_err(|e| e.to_string())
     }
 
     /// Renders an EXPLAIN-style indented operator tree. Unions over many
@@ -512,9 +381,9 @@ pub fn leapfrog(inputs: Vec<Plan>, cols: Vec<usize>) -> Plan {
 /// row-order) equivalent to: `((inputs[0] ⋈ inputs[1]) ⋈ inputs[2]) ⋈ ...`,
 /// each later input joined against the shared key at `cols[0]` — input 0
 /// sits at offset 0 of every accumulated schema, so the key keeps that
-/// position throughout. Executors without a multi-way kernel (and the
-/// column engine when an input loses its sort order) evaluate the
-/// operator through this expansion.
+/// position throughout. Both executors, the reference executor, the
+/// property derivation, the cost model, coverage analysis and the
+/// verifier all evaluate the operator through this expansion.
 pub fn leapfrog_fold(inputs: &[Plan], cols: &[usize]) -> Plan {
     assert!(
         inputs.len() >= 2 && cols.len() == inputs.len(),

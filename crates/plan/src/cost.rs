@@ -7,8 +7,9 @@
 //! units: scans by the bytes they actually read (compressed run headers
 //! when a column is RLE-stored — the paper's compression argument turned
 //! into a cost term), joins by the kernel the engine would dispatch
-//! (merge joins linear, hash joins with build/probe constants, leapfrog
-//! by its galloping bound). Because the dispatch prediction comes from
+//! (merge joins linear, hash joins with build/probe constants; a
+//! [`Plan::LeapfrogJoin`] is priced as its binary
+//! [`leapfrog_fold`]). Because the dispatch prediction comes from
 //! the same [`derive`](crate::props::derive()) the executor consults,
 //! orders that preserve physical properties price lower exactly when the
 //! engine can exploit them.
@@ -17,7 +18,7 @@
 //! estimation degrades to shape-based heuristics but stays total, so
 //! enumeration works against any context.
 
-use crate::algebra::{CmpOp, Plan};
+use crate::algebra::{leapfrog_fold, CmpOp, Plan};
 use crate::props::{derive, PropsContext};
 use crate::stats::StatsCatalog;
 
@@ -142,20 +143,7 @@ pub fn estimate_rows(plan: &Plan, ctx: &PropsContext) -> f64 {
             let dr = distinct_estimate(right, *right_col, ctx);
             el * er / dl.max(dr).max(1.0)
         }
-        Plan::LeapfrogJoin { inputs, cols } => {
-            // Fold the binary formula over the shared key: each further
-            // input divides by the larger key cardinality, and the
-            // surviving key set shrinks to the smaller side.
-            let mut est = estimate_rows(&inputs[0], ctx);
-            let mut d_acc = distinct_estimate(&inputs[0], cols[0], ctx);
-            for (input, &c) in inputs[1..].iter().zip(&cols[1..]) {
-                let ei = estimate_rows(input, ctx);
-                let di = distinct_estimate(input, c, ctx);
-                est = est * ei / d_acc.max(di).max(1.0);
-                d_acc = d_acc.min(di);
-            }
-            est
-        }
+        Plan::LeapfrogJoin { inputs, cols } => estimate_rows(&leapfrog_fold(inputs, cols), ctx),
         Plan::Project { input, .. } => estimate_rows(input, ctx),
         Plan::GroupCount { input, keys } => {
             let child = estimate_rows(input, ctx);
@@ -247,28 +235,7 @@ pub fn distinct_estimate(plan: &Plan, col: usize, ctx: &PropsContext) -> f64 {
             }
         }
         Plan::LeapfrogJoin { inputs, cols } => {
-            let mut offset = 0;
-            let mut out = DEFAULT_DISTINCT;
-            for (input, &jc) in inputs.iter().zip(cols) {
-                let a = input.arity();
-                if col < offset + a {
-                    let local = col - offset;
-                    let d = distinct_estimate(input, local, ctx);
-                    out = if local == jc {
-                        // Shared key: bounded by every input's key set.
-                        inputs
-                            .iter()
-                            .zip(cols)
-                            .map(|(i, &c)| distinct_estimate(i, c, ctx))
-                            .fold(d, f64::min)
-                    } else {
-                        d
-                    };
-                    break;
-                }
-                offset += a;
-            }
-            out
+            distinct_estimate(&leapfrog_fold(inputs, cols), col, ctx)
         }
         Plan::Project { input, cols } => distinct_estimate(input, cols[col], ctx),
         Plan::GroupCount { input, keys } => {
@@ -328,24 +295,7 @@ pub fn cost(plan: &Plan, ctx: &PropsContext) -> f64 {
             };
             cost(left, ctx) + cost(right, ctx) + join + out
         }
-        Plan::LeapfrogJoin { inputs, cols } => {
-            let all_sorted = inputs
-                .iter()
-                .zip(cols)
-                .all(|(i, &c)| derive(i, ctx).sorted_on(c));
-            if !all_sorted {
-                // The executor falls back to the binary hash-join fold;
-                // price that plan.
-                return cost(&crate::algebra::leapfrog_fold(inputs, cols), ctx);
-            }
-            let ests: Vec<f64> = inputs.iter().map(|i| estimate_rows(i, ctx)).collect();
-            let driver = ests.iter().copied().fold(f64::INFINITY, f64::min);
-            // Galloping bound: each input advances at most once per
-            // driver key, by binary search — never worse than its own
-            // linear scan.
-            let seek: f64 = ests.iter().map(|&e| e.min(driver * (e + 2.0).log2())).sum();
-            inputs.iter().map(|i| cost(i, ctx)).sum::<f64>() + seek + out
-        }
+        Plan::LeapfrogJoin { inputs, cols } => cost(&leapfrog_fold(inputs, cols), ctx),
         Plan::Project { input, .. } => cost(input, ctx),
         Plan::GroupCount { input, keys } => {
             let el = estimate_rows(input, ctx);
@@ -497,18 +447,6 @@ mod tests {
             merge_op < hash_op,
             "merge {merge_op} should price below hash {hash_op}"
         );
-    }
-
-    #[test]
-    fn leapfrog_prices_below_the_binary_fold_on_a_selective_star() {
-        let ctx = ctx_with_stats();
-        // Two large inputs and one tiny driver: the fold materializes the
-        // large pairwise intermediate, leapfrog gallops past it.
-        let star = vec![vp(3), vp(3), vp(4)];
-        let cols = vec![0, 0, 0];
-        let lf = leapfrog(star.clone(), cols.clone());
-        let fold = crate::algebra::leapfrog_fold(&star, &cols);
-        assert!(cost(&lf, &ctx) < cost(&fold, &ctx));
     }
 
     #[test]

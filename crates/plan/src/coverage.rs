@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::algebra::Plan;
+use crate::algebra::{leapfrog_fold, Plan};
 use crate::pattern::{JoinPattern, Role, SimplePattern};
 
 /// The patterns a query exercises (one row of Table 2).
@@ -77,19 +77,7 @@ fn walk(plan: &Plan, cov: &mut Coverage) -> Prov {
             out.extend(rp);
             out
         }
-        Plan::LeapfrogJoin { inputs, cols } => {
-            // The multi-way join covers the same patterns as its binary
-            // fold: input 0's key column joined against every other input.
-            let provs: Vec<Prov> = inputs.iter().map(|i| walk(i, cov)).collect();
-            if let Some(lr) = provs[0][cols[0]] {
-                for (p, &c) in provs[1..].iter().zip(&cols[1..]) {
-                    if let Some(rr) = p[c] {
-                        cov.joins.insert(JoinPattern::classify(lr, rr));
-                    }
-                }
-            }
-            provs.into_iter().flatten().collect()
-        }
+        Plan::LeapfrogJoin { inputs, cols } => walk(&leapfrog_fold(inputs, cols), cov),
         Plan::Project { input, cols } => {
             let p = walk(input, cov);
             cols.iter().map(|&c| p[c]).collect()

@@ -28,8 +28,8 @@
 //!   load/merge time (row counts, distincts, compressed scan bytes off the
 //!   RLE headers) and publish through [`props::PropsContext::stats`],
 //! * [`cost`](mod@cost) — the cost model: cardinality estimation and plan pricing
-//!   (scans by compressed bytes, joins by merge-vs-hash-vs-leapfrog
-//!   dispatch), driving the plan enumerator,
+//!   (scans by compressed bytes, joins by merge-vs-hash dispatch),
+//!   driving the plan enumerator,
 //! * [`mod@optimize`] — a rule-based rewriter (selection pushdown into scans,
 //!   through unions, joins and projections) plus cost-based join
 //!   enumeration ([`optimize::optimize_cbo`]) with the older order-aware

@@ -11,7 +11,7 @@
 
 use swans_rdf::Id;
 
-use crate::algebra::Plan;
+use crate::algebra::{leapfrog_fold, Plan};
 
 /// Rewrites `plan` to run against the vertically-partitioned layout.
 /// `properties` must list every property id present in the data set
@@ -70,13 +70,9 @@ pub fn lower_to_vertical(plan: &Plan, properties: &[Id]) -> Plan {
             left_col: *left_col,
             right_col: *right_col,
         },
-        Plan::LeapfrogJoin { inputs, cols } => Plan::LeapfrogJoin {
-            inputs: inputs
-                .iter()
-                .map(|i| lower_to_vertical(i, properties))
-                .collect(),
-            cols: cols.clone(),
-        },
+        Plan::LeapfrogJoin { inputs, cols } => {
+            lower_to_vertical(&leapfrog_fold(inputs, cols), properties)
+        }
         Plan::Project { input, cols } => Plan::Project {
             input: Box::new(lower_to_vertical(input, properties)),
             cols: cols.clone(),

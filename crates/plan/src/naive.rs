@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use swans_rdf::Triple;
 
-use crate::algebra::Plan;
+use crate::algebra::{leapfrog_fold, Plan};
 
 /// A materialized relation: a bag of rows.
 pub type Rows = Vec<Vec<u64>>;
@@ -70,9 +70,7 @@ pub fn execute(plan: &Plan, triples: &[Triple]) -> Rows {
             }
             out
         }
-        Plan::LeapfrogJoin { inputs, cols } => {
-            execute(&crate::algebra::leapfrog_fold(inputs, cols), triples)
-        }
+        Plan::LeapfrogJoin { inputs, cols } => execute(&leapfrog_fold(inputs, cols), triples),
         Plan::FilterIn { input, col, values } => {
             let set: std::collections::HashSet<u64> = values.iter().copied().collect();
             let mut rows = execute(input, triples);

@@ -39,18 +39,18 @@
 //! program over connected sub-chains picks the cheapest order under
 //! [`crate::cost`](mod@crate::cost) — merge-preserving orders win exactly when the engine
 //! would dispatch merge joins, because the cost model consults the same
-//! [`derive`](crate::props::derive()) the executor does. Star-shaped chains (three or more
-//! relations all joining one shared variable, every input sorted on its
-//! key) are additionally offered as a single multi-way
-//! [`Plan::LeapfrogJoin`]. The final pick between the enumerated order,
-//! the leapfrog form and the old rotation is made by the *real* cost
-//! function, so the enumerated plan never prices above the heuristic's.
+//! [`derive`](crate::props::derive()) the executor does. The final pick
+//! between the enumerated order and the old rotation is made by the
+//! *real* cost function, so the enumerated plan never prices above the
+//! heuristic's. The enumerator emits binary joins only: a submitted
+//! [`Plan::LeapfrogJoin`] is enumerated as the chain it is defined as,
+//! its binary [`leapfrog_fold`].
 //! [`reorder_joins`] stays load-bearing inside the enumerator: it is the
-//! cost baseline the hysteresis margins are measured against, and the
+//! cost baseline the hysteresis margin is measured against, and the
 //! plan returned for chains enumeration declines (more than
 //! `MAX_DP_LEAVES` relations, cyclic or cross-product condition graphs).
 
-use crate::algebra::{CmpOp, Plan, Predicate};
+use crate::algebra::{leapfrog_fold, CmpOp, Plan, Predicate};
 use crate::cost::{cost, distinct_estimate, estimate_rows};
 use crate::props::{derive, PhysProps, PropsContext};
 
@@ -130,22 +130,17 @@ pub fn reorder_joins(plan: Plan, ctx: &PropsContext) -> Plan {
         Plan::Distinct { input } => Plan::Distinct {
             input: Box::new(reorder_joins(*input, ctx)),
         },
-        Plan::LeapfrogJoin { inputs, cols } => Plan::LeapfrogJoin {
-            inputs: inputs.into_iter().map(|i| reorder_joins(i, ctx)).collect(),
-            cols,
-        },
+        Plan::LeapfrogJoin { inputs, cols } => reorder_joins(leapfrog_fold(&inputs, &cols), ctx),
         leaf => leaf,
     }
 }
 
-/// Whether the plan contains any binary join — executors use this to skip
-/// the reordering plan clone entirely for join-free plans. A
-/// [`Plan::LeapfrogJoin`] does not count: it is already a physical join
-/// choice, so a plan containing only leapfrog joins has nothing left to
-/// reorder (its inputs are still searched).
+/// Whether the plan contains any join — executors use this to skip the
+/// reordering plan clone entirely for join-free plans. A
+/// [`Plan::LeapfrogJoin`] is its chain of binary joins.
 pub fn has_join(plan: &Plan) -> bool {
     match plan {
-        Plan::Join { .. } => true,
+        Plan::Join { .. } | Plan::LeapfrogJoin { .. } => true,
         Plan::ScanTriples { .. } | Plan::ScanProperty { .. } => false,
         Plan::Select { input, .. }
         | Plan::FilterIn { input, .. }
@@ -153,9 +148,7 @@ pub fn has_join(plan: &Plan) -> bool {
         | Plan::GroupCount { input, .. }
         | Plan::HavingCountGt { input, .. }
         | Plan::Distinct { input } => has_join(input),
-        Plan::UnionAll { inputs } | Plan::LeapfrogJoin { inputs, .. } => {
-            inputs.iter().any(has_join)
-        }
+        Plan::UnionAll { inputs } => inputs.iter().any(has_join),
     }
 }
 
@@ -231,15 +224,12 @@ const MAX_DP_LEAVES: usize = 8;
 /// Cost-based join enumeration for a known physical layout.
 ///
 /// Flattens every maximal chain of binary [`Plan::Join`] nodes into its
-/// base relations and join conditions, then picks the cheapest of:
+/// base relations and join conditions, then picks the cheaper of:
 ///
 /// 1. the Selinger-style dynamic program's best order over connected
 ///    sub-chains (bushy plans allowed, cross products excluded), wrapped
 ///    in a projection restoring the original column order,
-/// 2. a multi-way [`Plan::LeapfrogJoin`] when the chain is star-shaped —
-///    every relation joins one shared variable and is sorted on its join
-///    column — so the already-sorted columns can be intersected directly,
-/// 3. the [`reorder_joins`] rotation heuristic (which also serves as the
+/// 2. the [`reorder_joins`] rotation heuristic (which also serves as the
 ///    fallback for chains the enumerator does not handle: longer than
 ///    `MAX_DP_LEAVES`, cyclic condition graphs, or cross products).
 ///
@@ -290,10 +280,7 @@ fn enumerate(plan: Plan, ctx: &PropsContext) -> Plan {
         Plan::Distinct { input } => Plan::Distinct {
             input: Box::new(enumerate(*input, ctx)),
         },
-        Plan::LeapfrogJoin { inputs, cols } => Plan::LeapfrogJoin {
-            inputs: inputs.into_iter().map(|i| enumerate(i, ctx)).collect(),
-            cols,
-        },
+        Plan::LeapfrogJoin { inputs, cols } => enumerate_chain(leapfrog_fold(&inputs, &cols), ctx),
         leaf => leaf,
     }
 }
@@ -369,24 +356,6 @@ fn enumerate_chain(plan: Plan, ctx: &PropsContext) -> Plan {
         return reorder_joins(original, ctx);
     }
 
-    let mut candidates: Vec<Plan> = Vec::new();
-    if let Some(cols) = star_columns(n, &conds) {
-        let all_sorted = leaves
-            .iter()
-            .zip(&cols)
-            .all(|(l, &c)| derive(l, ctx).sorted_on(c));
-        if all_sorted {
-            // Output schema equals the original leaf concatenation: no
-            // restoring projection needed.
-            candidates.push(Plan::LeapfrogJoin {
-                inputs: leaves.clone(),
-                cols,
-            });
-        }
-    }
-    if let Some(best) = dp_enumerate(&leaves, &arities, &conds, ctx) {
-        candidates.push(restore_order(best, &arities));
-    }
     // The rotation heuristic over the original chain is both the baseline
     // the enumerated plan must beat and the fallback if the DP found
     // nothing. Note the whole choice reads only cardinalities, costs and
@@ -398,34 +367,17 @@ fn enumerate_chain(plan: Plan, ctx: &PropsContext) -> Plan {
     // ignore kernel constants, so a plan change must *predict* a win
     // beyond that noise before we deviate from the baseline — a small
     // modeled edge is as likely to be estimation error as a real win,
-    // and the baseline is never wrong about itself. The leapfrog margin
-    // is stricter than the reorder margin because the kernel's per-seek
-    // constant (binary search, odometer emission) exceeds a linear merge
-    // step — its real advantage is asymptotic (skipping), which shows up
-    // as a large modeled gap precisely when it is real.
+    // and the baseline is never wrong about itself.
     let baseline = reorder_joins(original, ctx);
-    let base_cost = cost(&baseline, ctx);
-    candidates
-        .into_iter()
-        .map(|p| {
-            let margin = match p {
-                Plan::LeapfrogJoin { .. } => LEAPFROG_MARGIN,
-                _ => REORDER_MARGIN,
-            };
-            let c = cost(&p, ctx) * margin;
-            (p, c)
-        })
-        .filter(|&(_, c)| c < base_cost)
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map_or(baseline, |(p, _)| p)
+    dp_enumerate(&leaves, &arities, &conds, ctx)
+        .map(|best| restore_order(best, &arities))
+        .filter(|enumerated| cost(enumerated, ctx) * REORDER_MARGIN < cost(&baseline, ctx))
+        .unwrap_or(baseline)
 }
 
 /// An enumerated join order must predict at least this cost advantage
 /// over the rotation baseline before it replaces it.
 const REORDER_MARGIN: f64 = 1.25;
-/// A leapfrog star must predict at least this advantage over the
-/// baseline before it replaces the binary fold.
-const LEAPFROG_MARGIN: f64 = 2.0;
 
 /// Whether the join-condition graph connects all `n` leaves.
 fn connected(n: usize, conds: &[LocalCond]) -> bool {
@@ -443,28 +395,6 @@ fn connected(n: usize, conds: &[LocalCond]) -> bool {
         }
     }
     seen.into_iter().all(|s| s)
-}
-
-/// If the chain is star-shaped — at least 3 leaves, every leaf joining
-/// through exactly one column, all conditions in one equivalence class —
-/// returns the per-leaf join columns.
-fn star_columns(n: usize, conds: &[LocalCond]) -> Option<Vec<usize>> {
-    if n < 3 {
-        return None;
-    }
-    let mut col_of: Vec<Option<usize>> = vec![None; n];
-    for &((li, lc), (rj, rc)) in conds {
-        for (i, c) in [(li, lc), (rj, rc)] {
-            match col_of[i] {
-                None => col_of[i] = Some(c),
-                Some(prev) if prev == c => {}
-                Some(_) => return None, // leaf joins through two columns
-            }
-        }
-    }
-    // With a connected spanning tree and one column per leaf, all
-    // endpoints sit in a single equivalence class.
-    col_of.into_iter().collect()
 }
 
 /// Selinger-style dynamic program over connected leaf subsets. Returns
@@ -547,7 +477,14 @@ fn dp_enumerate(
                         4.0 * card(sub) + 2.0 * card(other)
                     };
                     let total = l.cost + r.cost + op + out_card;
-                    if best[mask].as_ref().is_none_or(|b| total < b.cost) {
+                    let mut order = l.order.clone();
+                    order.extend(&r.order);
+                    // Ties go to the order closer to the chain as written:
+                    // its left sides keep the key the later joins read.
+                    if best[mask]
+                        .as_ref()
+                        .is_none_or(|b| total < b.cost || (total == b.cost && order < b.order))
+                    {
                         let plan = Plan::Join {
                             left: Box::new(l.plan.clone()),
                             right: Box::new(r.plan.clone()),
@@ -555,8 +492,6 @@ fn dp_enumerate(
                             right_col,
                         };
                         let props = derive(&plan, ctx);
-                        let mut order = l.order.clone();
-                        order.extend(&r.order);
                         best[mask] = Some(Cand {
                             plan,
                             order,
@@ -645,10 +580,7 @@ fn rewrite(plan: Plan) -> Plan {
         Plan::Distinct { input } => Plan::Distinct {
             input: Box::new(rewrite(*input)),
         },
-        Plan::LeapfrogJoin { inputs, cols } => Plan::LeapfrogJoin {
-            inputs: inputs.into_iter().map(rewrite).collect(),
-            cols,
-        },
+        Plan::LeapfrogJoin { inputs, cols } => rewrite(leapfrog_fold(&inputs, &cols)),
         leaf => leaf,
     }
 }

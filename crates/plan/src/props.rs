@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 
 use swans_rdf::{Id, SortOrder};
 
-use crate::algebra::Plan;
+use crate::algebra::{leapfrog_fold, Plan};
 
 /// The physical layout context a derivation runs against.
 ///
@@ -398,24 +398,7 @@ pub fn derive(plan: &Plan, ctx: &PropsContext) -> PhysProps {
                 }
             }
         }
-        Plan::LeapfrogJoin { inputs, cols } => {
-            let props: Vec<PhysProps> = inputs.iter().map(|i| derive(i, ctx)).collect();
-            // As with the binary join: concatenations of distinct rows
-            // are distinct.
-            let distinct = props.iter().all(|p| p.distinct);
-            // The kernel advances the shared key in ascending order, so
-            // the output is sorted on the key's position in input 0's
-            // schema (offset 0 of the output). It materializes flat on
-            // every side — no run claims survive. When any input loses
-            // its sort (a pending delta), the executor falls back to the
-            // binary hash-join fold, which claims nothing.
-            let all_sorted = props.iter().zip(cols).all(|(p, &c)| p.sorted_on(c));
-            PhysProps {
-                sorted_by: all_sorted.then(|| vec![cols[0]]),
-                distinct,
-                run_encoded: Vec::new(),
-            }
-        }
+        Plan::LeapfrogJoin { inputs, cols } => derive(&leapfrog_fold(inputs, cols), ctx),
         Plan::GroupCount { keys, .. } => {
             // Every group-count path (hash + sort, and the run-based
             // sorted kernels) emits key-sorted rows with distinct keys;

@@ -11,9 +11,10 @@
 //! 1. **Flow typing** — every column reference (select predicates, join
 //!    keys, projections, grouping keys) is in range for its input's
 //!    arity, unions are non-empty and input-compatible in both arity and
-//!    [`ColumnKind`]s, and `HavingCountGt` never runs over an empty
-//!    schema. These are [`Plan::validate`]'s rules, re-reported as typed
-//!    errors that name the offending operator by plan path.
+//!    [`ColumnKind`](crate::algebra::ColumnKind)s, a `LeapfrogJoin` has ≥ 2 inputs and one key per
+//!    input, and `HavingCountGt` never runs over an empty schema.
+//!    [`Plan::validate`] is this layer alone, rendered as a string.
+//!    Errors are typed and name the offending operator by plan path.
 //! 2. **Property soundness** — every [`PhysProps`] claim (`sorted_by`,
 //!    `distinct`, `run_encoded`) attached to a node must be *justified*
 //!    by the node's inputs, the storage layout and the [`PropsContext`]
@@ -28,7 +29,8 @@
 //!    inputs are compatibly sorted on their join columns (otherwise the
 //!    engine hashes and the output order claim must drop), and run
 //!    columns never flow into flat-materializing consumers (group-count,
-//!    unions, hash joins) still claimed. Join key-drop legality — output
+//!    unions, hash joins) still claimed. A [`Plan::LeapfrogJoin`] is
+//!    judged as the binary [`leapfrog_fold`] both engines execute. Join key-drop legality — output
 //!    arity staying `left + right` with pruned columns only at
 //!    unreferenced positions — is a runtime-mask property and is checked
 //!    by the column engine's debug shadow validator instead.
@@ -44,7 +46,7 @@
 //! `StoreConfig::with_verify(true)`, and verification failures surface as
 //! [`crate::EngineError::Verify`] carrying the rendered plan path.
 
-use crate::algebra::{ColumnKind, Plan};
+use crate::algebra::{leapfrog_fold, Plan};
 use crate::props::{derive, PhysProps, PropsContext};
 
 /// A path from the plan root to one node: the child index taken at every
@@ -89,19 +91,25 @@ impl std::fmt::Display for PlanPath {
     }
 }
 
-/// The immediate children of a plan node, in [`PlanPath`] index order.
-fn children(plan: &Plan) -> Vec<&Plan> {
+/// Child `i` of a plan node in [`PlanPath`] index order (`None` past the
+/// last).
+fn child(plan: &Plan, i: usize) -> Option<&Plan> {
     match plan {
-        Plan::ScanTriples { .. } | Plan::ScanProperty { .. } => Vec::new(),
+        Plan::ScanTriples { .. } | Plan::ScanProperty { .. } => None,
         Plan::Select { input, .. }
         | Plan::FilterIn { input, .. }
         | Plan::Project { input, .. }
         | Plan::GroupCount { input, .. }
         | Plan::HavingCountGt { input, .. }
-        | Plan::Distinct { input } => vec![input],
-        Plan::Join { left, right, .. } => vec![left, right],
-        Plan::UnionAll { inputs } | Plan::LeapfrogJoin { inputs, .. } => inputs.iter().collect(),
+        | Plan::Distinct { input } => (i == 0).then_some(&**input),
+        Plan::Join { left, right, .. } => [&**left, &**right].get(i).copied(),
+        Plan::UnionAll { inputs } | Plan::LeapfrogJoin { inputs, .. } => inputs.get(i),
     }
+}
+
+/// The immediate children of a plan node, in [`PlanPath`] index order.
+fn children(plan: &Plan) -> impl Iterator<Item = &Plan> {
+    (0..).map_while(move |i| child(plan, i))
 }
 
 /// Resolves a [`PlanPath`] against a plan, returning the node it names
@@ -109,7 +117,7 @@ fn children(plan: &Plan) -> Vec<&Plan> {
 pub fn locate<'a>(plan: &'a Plan, path: &PlanPath) -> Option<&'a Plan> {
     let mut node = plan;
     for &seg in path.segments() {
-        node = children(node).get(seg).copied()?;
+        node = child(node, seg)?;
     }
     Some(node)
 }
@@ -134,10 +142,7 @@ impl Claims {
     pub fn derive_tree(plan: &Plan, ctx: &PropsContext) -> Self {
         Self {
             props: derive(plan, ctx),
-            children: children(plan)
-                .into_iter()
-                .map(|c| Self::derive_tree(c, ctx))
-                .collect(),
+            children: children(plan).map(|c| Self::derive_tree(c, ctx)).collect(),
         }
     }
 
@@ -177,7 +182,7 @@ pub enum VerifyErrorKind {
         /// Input 0's arity.
         want: usize,
     },
-    /// A `UnionAll` input whose [`ColumnKind`]s differ from input 0's —
+    /// A `UnionAll` input whose [`ColumnKind`](crate::algebra::ColumnKind)s differ from input 0's —
     /// a count column unioned under a term column would decode wrongly.
     UnionKindMismatch {
         /// The offending input position.
@@ -186,6 +191,14 @@ pub enum VerifyErrorKind {
     /// A `HavingCountGt` over an arity-0 input (there is no last column
     /// to read the count from).
     EmptySchema,
+    /// A `LeapfrogJoin` with fewer than two inputs, or not exactly one
+    /// key column per input.
+    MalformedStar {
+        /// Its input count.
+        inputs: usize,
+        /// Its key-column count.
+        cols: usize,
+    },
     /// The claim tree does not fit the plan, or a claim is internally
     /// malformed (key/run positions out of range or duplicated).
     ClaimShape {
@@ -250,6 +263,11 @@ impl std::fmt::Display for VerifyError {
                 write!(f, "union input {input} has different column kinds than input 0")
             }
             VerifyErrorKind::EmptySchema => write!(f, "HavingCountGt over an empty schema"),
+            VerifyErrorKind::MalformedStar { inputs, cols } => write!(
+                f,
+                "LeapfrogJoin over {inputs} inputs with {cols} key columns \
+                 (needs at least 2, one key per input)"
+            ),
             VerifyErrorKind::ClaimShape { detail } => write!(f, "malformed claim: {detail}"),
             VerifyErrorKind::UnsoundSortClaim { claimed, justified } => {
                 write!(f, "claimed sorted_by={claimed:?} cannot be justified (")?;
@@ -301,8 +319,9 @@ impl std::fmt::Display for VerifyReport {
 /// derives — the pre-execution check the engines and `Database::explain`
 /// run. See the module docs for the three layers checked.
 pub fn verify(plan: &Plan, ctx: &PropsContext) -> Result<VerifyReport, VerifyError> {
-    let claims = Claims::derive_tree(plan, ctx);
-    verify_claims(plan, &claims, ctx)
+    // Flow typing first: the claim derivation assumes a well-formed plan.
+    check_flow(plan)?;
+    check_claims(plan, &Claims::derive_tree(plan, ctx), ctx)
 }
 
 /// Verifies `plan` against an *externally supplied* claim tree — the
@@ -313,10 +332,34 @@ pub fn verify_claims(
     claims: &Claims,
     ctx: &PropsContext,
 ) -> Result<VerifyReport, VerifyError> {
+    check_flow(plan)?;
+    check_claims(plan, claims, ctx)
+}
+
+/// The property layers over a flow-typed plan.
+fn check_claims(
+    plan: &Plan,
+    claims: &Claims,
+    ctx: &PropsContext,
+) -> Result<VerifyReport, VerifyError> {
     let mut report = VerifyReport::default();
     let mut path = Vec::new();
     check(plan, claims, ctx, &mut path, &mut report)?;
     Ok(report)
+}
+
+/// The flow-typing layer over a whole plan, children first, so the
+/// deepest broken operator is reported. It allocates only to build an
+/// error, because [`Plan::validate`] (this walk, rendered) runs on every
+/// engine request.
+pub(crate) fn check_flow(plan: &Plan) -> Result<(), VerifyError> {
+    for (i, kid) in children(plan).enumerate() {
+        check_flow(kid).map_err(|mut e| {
+            e.path.0.insert(0, i);
+            e
+        })?;
+    }
+    check_structure(plan).map_err(|kind| err(kind, &[], plan))
 }
 
 /// One verification error at the current path.
@@ -340,14 +383,13 @@ fn check(
     report: &mut VerifyReport,
 ) -> Result<PhysProps, VerifyError> {
     report.nodes += 1;
-    let kids = children(plan);
-    if claims.children.len() != kids.len() {
+    let kids = children(plan).count();
+    if claims.children.len() != kids {
         return Err(err(
             VerifyErrorKind::ClaimShape {
                 detail: format!(
-                    "claim tree has {} children but the node has {}",
+                    "claim tree has {} children but the node has {kids}",
                     claims.children.len(),
-                    kids.len()
                 ),
             },
             path,
@@ -356,132 +398,85 @@ fn check(
     }
 
     // Children first: the deepest unjustifiable claim is reported.
-    let mut kid_justified = Vec::with_capacity(kids.len());
-    for (i, (kid, kid_claims)) in kids.iter().zip(&claims.children).enumerate() {
+    let mut kid_justified = Vec::with_capacity(kids);
+    for (i, (kid, kid_claims)) in children(plan).zip(&claims.children).enumerate() {
         path.push(i);
         kid_justified.push(check(kid, kid_claims, ctx, path, report)?);
         path.pop();
     }
 
-    // ---- 1. flow typing ---------------------------------------------------
-    check_structure(plan, path)?;
-
-    // ---- 2+3. property soundness under claimed dispatch -------------------
-    let justified = justify(plan, claims, &kid_justified, ctx, report);
+    // Property soundness under claimed dispatch (flow typing already
+    // passed for the whole tree).
+    let (justified, flat) = justify(plan, claims, &kid_justified, ctx, report);
     check_claims_shape(plan, &claims.props, path)?;
-    check_soundness(plan, claims, &justified, path)?;
+    check_soundness(plan, claims, &justified, flat, path)?;
     if !claims.props.run_encoded.is_empty() {
         report.run_claims += 1;
     }
     Ok(justified)
 }
 
-/// The flow-typing layer: every column reference in range, unions
-/// compatible. Mirrors [`Plan::validate`]'s rules with typed, located
-/// errors.
-fn check_structure(plan: &Plan, path: &[usize]) -> Result<(), VerifyError> {
-    let out_of_range = |role, col, arity| {
-        err(
-            VerifyErrorKind::ColumnOutOfRange { role, col, arity },
-            path,
-            plan,
-        )
+/// The flow-typing rules at one node (its children already passed):
+/// every column reference in range, stars well-shaped, unions
+/// compatible.
+fn check_structure(plan: &Plan) -> Result<(), VerifyErrorKind> {
+    let in_range = |role, col, arity| {
+        if col < arity {
+            Ok(())
+        } else {
+            Err(VerifyErrorKind::ColumnOutOfRange { role, col, arity })
+        }
     };
     match plan {
-        Plan::ScanTriples { .. } | Plan::ScanProperty { .. } | Plan::Distinct { .. } => {}
-        Plan::Select { input, pred } => {
-            if pred.col >= input.arity() {
-                return Err(out_of_range("Select predicate", pred.col, input.arity()));
-            }
-        }
+        Plan::ScanTriples { .. } | Plan::ScanProperty { .. } | Plan::Distinct { .. } => Ok(()),
+        Plan::Select { input, pred } => in_range("Select predicate", pred.col, input.arity()),
         Plan::Join {
             left,
             right,
             left_col,
             right_col,
         } => {
-            if *left_col >= left.arity() {
-                return Err(out_of_range("Join left key", *left_col, left.arity()));
-            }
-            if *right_col >= right.arity() {
-                return Err(out_of_range("Join right key", *right_col, right.arity()));
-            }
+            in_range("Join left key", *left_col, left.arity())?;
+            in_range("Join right key", *right_col, right.arity())
         }
-        Plan::FilterIn { input, col, .. } => {
-            if *col >= input.arity() {
-                return Err(out_of_range("FilterIn column", *col, input.arity()));
-            }
+        Plan::FilterIn { input, col, .. } => in_range("FilterIn column", *col, input.arity()),
+        Plan::Project { input, cols } => cols
+            .iter()
+            .try_for_each(|&c| in_range("Project column", c, input.arity())),
+        Plan::GroupCount { input, keys } => keys
+            .iter()
+            .try_for_each(|&k| in_range("GroupCount key", k, input.arity())),
+        Plan::HavingCountGt { input, .. } if input.arity() == 0 => {
+            Err(VerifyErrorKind::EmptySchema)
         }
-        Plan::Project { input, cols } => {
-            for &c in cols {
-                if c >= input.arity() {
-                    return Err(out_of_range("Project column", c, input.arity()));
-                }
-            }
+        Plan::HavingCountGt { .. } => Ok(()),
+        Plan::LeapfrogJoin { inputs, cols } if inputs.len() < 2 || cols.len() != inputs.len() => {
+            let (inputs, cols) = (inputs.len(), cols.len());
+            Err(VerifyErrorKind::MalformedStar { inputs, cols })
         }
-        Plan::GroupCount { input, keys } => {
-            for &k in keys {
-                if k >= input.arity() {
-                    return Err(out_of_range("GroupCount key", k, input.arity()));
-                }
-            }
-        }
-        Plan::HavingCountGt { input, .. } => {
-            if input.arity() == 0 {
-                return Err(err(VerifyErrorKind::EmptySchema, path, plan));
-            }
-        }
-        Plan::LeapfrogJoin { inputs, cols } => {
-            // Shape (≥2 inputs, one key column per input) is
-            // `Plan::validate`'s rule; re-report with located errors.
-            if inputs.len() < 2 || cols.len() != inputs.len() {
-                return Err(err(
-                    VerifyErrorKind::ClaimShape {
-                        detail: format!(
-                            "LeapfrogJoin over {} inputs with {} key columns",
-                            inputs.len(),
-                            cols.len()
-                        ),
-                    },
-                    path,
-                    plan,
-                ));
-            }
-            for (input, &c) in inputs.iter().zip(cols) {
-                if c >= input.arity() {
-                    return Err(out_of_range("LeapfrogJoin key", c, input.arity()));
-                }
-            }
-        }
+        Plan::LeapfrogJoin { inputs, cols } => inputs
+            .iter()
+            .zip(cols)
+            .try_for_each(|(input, &c)| in_range("LeapfrogJoin key", c, input.arity())),
+        Plan::UnionAll { inputs } if inputs.is_empty() => Err(VerifyErrorKind::EmptyUnion),
         Plan::UnionAll { inputs } => {
-            if inputs.is_empty() {
-                return Err(err(VerifyErrorKind::EmptyUnion, path, plan));
-            }
-            let want_arity = inputs[0].arity();
-            let want_kinds: Vec<ColumnKind> = inputs[0].output_kinds();
+            let want = inputs[0].arity();
             for (i, p) in inputs.iter().enumerate().skip(1) {
-                if p.arity() != want_arity {
-                    return Err(err(
-                        VerifyErrorKind::UnionArityMismatch {
-                            input: i,
-                            got: p.arity(),
-                            want: want_arity,
-                        },
-                        path,
-                        plan,
-                    ));
+                let got = p.arity();
+                if got != want {
+                    return Err(VerifyErrorKind::UnionArityMismatch {
+                        input: i,
+                        got,
+                        want,
+                    });
                 }
-                if p.output_kinds() != want_kinds {
-                    return Err(err(
-                        VerifyErrorKind::UnionKindMismatch { input: i },
-                        path,
-                        plan,
-                    ));
+                if (0..want).any(|c| p.output_kind(c) != inputs[0].output_kind(c)) {
+                    return Err(VerifyErrorKind::UnionKindMismatch { input: i });
                 }
             }
+            Ok(())
         }
     }
-    Ok(())
 }
 
 /// Internal claim well-formedness: key and run positions in range for
@@ -523,28 +518,32 @@ fn check_claims_shape(plan: &Plan, props: &PhysProps, path: &[usize]) -> Result<
 /// from the *claimed* child properties, because that is what the
 /// executor consults. (A weakened child claim therefore weakens the
 /// parent's justification too: the engine would hash-join instead of
-/// merge-joining, destroying order.)
+/// merge-joining, destroying order.) The flag says whether the operator
+/// materializes its output flat — no run column survives it, claimed or
+/// not — which picks the legality-flavoured error kind for run claims.
 fn justify(
     plan: &Plan,
     claims: &Claims,
     kid_justified: &[PhysProps],
     ctx: &PropsContext,
     report: &mut VerifyReport,
-) -> PhysProps {
+) -> (PhysProps, bool) {
     match plan {
         // Leaves: justified directly by the layout and the delta state.
-        Plan::ScanTriples { .. } | Plan::ScanProperty { .. } => derive(plan, ctx),
+        Plan::ScanTriples { .. } | Plan::ScanProperty { .. } => (derive(plan, ctx), false),
         // Monotone selection vectors preserve every property.
         Plan::Select { .. } | Plan::FilterIn { .. } | Plan::HavingCountGt { .. } => {
-            kid_justified[0].clone()
+            (kid_justified[0].clone(), false)
         }
         // Deduplication preserves order and runs and guarantees
         // distinctness on every dispatch path (hash, sorted, passthrough).
-        Plan::Distinct { .. } => PhysProps {
-            sorted_by: kid_justified[0].sorted_by.clone(),
-            distinct: true,
-            run_encoded: kid_justified[0].run_encoded.clone(),
-        },
+        Plan::Distinct { .. } => (
+            PhysProps {
+                distinct: true,
+                ..kid_justified[0].clone()
+            },
+            false,
+        ),
         Plan::Project { input, cols } => {
             let ip = &kid_justified[0];
             let sorted_by = ip.sorted_by.as_ref().and_then(|key| {
@@ -564,109 +563,123 @@ fn justify(
                 .filter(|&(_, c)| ip.run_encoded.contains(c))
                 .map(|(i, _)| i)
                 .collect();
-            PhysProps {
+            let props = PhysProps {
                 sorted_by,
                 distinct,
                 run_encoded,
-            }
+            };
+            (props, false)
         }
         Plan::Join {
             left_col,
             right_col,
             ..
-        } => {
-            let (lj, rj) = (&kid_justified[0], &kid_justified[1]);
-            let distinct = lj.distinct && rj.distinct;
-            // Dispatch follows the *claims*: the engine merge-joins iff
-            // both claimed inputs are sorted on their join columns.
-            let merge = claims.children[0].props.sorted_on(*left_col)
-                && claims.children[1].props.sorted_on(*right_col);
-            if merge {
-                report.merge_joins += 1;
-                // Merge join: the left selection vector is monotone, so
-                // left order and left run-encoding survive.
-                PhysProps {
-                    sorted_by: lj.sorted_by.clone(),
-                    distinct,
-                    run_encoded: lj.run_encoded.clone(),
-                }
-            } else {
-                // Hash join: materializes flat in probe order.
-                PhysProps {
-                    sorted_by: None,
-                    distinct,
-                    run_encoded: Vec::new(),
-                }
-            }
-        }
-        Plan::LeapfrogJoin { cols, .. } => {
-            let distinct = kid_justified.iter().all(|p| p.distinct);
-            // The kernel only runs when every *claimed* input is sorted
-            // on its key column — otherwise the engine falls back to the
-            // binary hash-join fold, which materializes unordered.
-            let dispatch = claims
-                .children
-                .iter()
-                .zip(cols)
-                .all(|(c, &k)| c.props.sorted_on(k));
-            let sound = kid_justified.iter().zip(cols).all(|(p, &k)| p.sorted_on(k));
-            PhysProps {
-                sorted_by: (dispatch && sound).then(|| vec![cols[0]]),
-                distinct,
-                run_encoded: Vec::new(),
-            }
-        }
+        } => justify_join(
+            [&claims.children[0].props, &claims.children[1].props],
+            [&kid_justified[0], &kid_justified[1]],
+            (*left_col, *right_col),
+            report,
+        ),
+        Plan::LeapfrogJoin { inputs, cols } => justify_fold(
+            &leapfrog_fold(inputs, cols),
+            &claims.children,
+            kid_justified,
+            report,
+        ),
         // Key-sorted, key-distinct on every aggregation path.
-        Plan::GroupCount { keys, .. } => PhysProps {
-            sorted_by: Some((0..=keys.len()).collect()),
-            distinct: true,
-            run_encoded: Vec::new(),
-        },
-        Plan::UnionAll { inputs } => {
-            if inputs.len() == 1 {
-                // Singleton: pass-through, but the copy-out is flat.
-                PhysProps {
-                    run_encoded: Vec::new(),
-                    ..kid_justified[0].clone()
-                }
-            } else {
-                PhysProps::unordered()
-            }
+        Plan::GroupCount { keys, .. } => {
+            let props = PhysProps {
+                sorted_by: Some((0..=keys.len()).collect()),
+                distinct: true,
+                run_encoded: Vec::new(),
+            };
+            (props, true)
         }
+        // A singleton passes through, but the copy-out is flat.
+        Plan::UnionAll { inputs } if inputs.len() == 1 => {
+            let props = PhysProps {
+                run_encoded: Vec::new(),
+                ..kid_justified[0].clone()
+            };
+            (props, true)
+        }
+        Plan::UnionAll { .. } => (PhysProps::unordered(), true),
     }
 }
 
-/// Whether the operator materializes its output flat (no run column can
-/// survive it, claimed or not) — used to pick the legality-flavoured
-/// error kind for run claims.
-fn materializes_flat(plan: &Plan, claims: &Claims) -> bool {
-    match plan {
-        Plan::GroupCount { .. } => true,
-        Plan::UnionAll { .. } => true,
-        // Both the intersection kernel and its hash-fold fallback
-        // materialize flat output.
-        Plan::LeapfrogJoin { .. } => true,
-        Plan::Join {
-            left_col,
-            right_col,
-            ..
-        } => {
-            // Hash joins (by claimed dispatch) gather both sides flat.
-            !(claims.children[0].props.sorted_on(*left_col)
-                && claims.children[1].props.sorted_on(*right_col))
-        }
-        _ => false,
+/// The binary join rule. Dispatch follows the *claims*: the engine
+/// merge-joins iff both claimed inputs are sorted on their join columns.
+fn justify_join(
+    claimed: [&PhysProps; 2],
+    [lj, rj]: [&PhysProps; 2],
+    (left_col, right_col): (usize, usize),
+    report: &mut VerifyReport,
+) -> (PhysProps, bool) {
+    let distinct = lj.distinct && rj.distinct;
+    if claimed[0].sorted_on(left_col) && claimed[1].sorted_on(right_col) {
+        report.merge_joins += 1;
+        // Merge join: the left selection vector is monotone, so left
+        // order and left run-encoding survive.
+        let props = PhysProps {
+            distinct,
+            ..lj.clone()
+        };
+        (props, false)
+    } else {
+        // Hash join: materializes flat in probe order.
+        let props = PhysProps {
+            sorted_by: None,
+            distinct,
+            run_encoded: Vec::new(),
+        };
+        (props, true)
     }
+}
+
+/// Justifies `fold`, the [`leapfrog_fold`] chain of a star whose inputs
+/// (the chain's leaves, in order) carry `claims` and `justified`. Every
+/// join of the chain is judged by the binary join rule. An inner join has
+/// no claim of its own: the executor derives it from the same truth, so
+/// it is claimed exactly as justified.
+fn justify_fold(
+    fold: &Plan,
+    claims: &[Claims],
+    justified: &[PhysProps],
+    report: &mut VerifyReport,
+) -> (PhysProps, bool) {
+    let Plan::Join {
+        left,
+        left_col,
+        right_col,
+        ..
+    } = fold
+    else {
+        unreachable!("a star's fold is a chain of joins")
+    };
+    let n = claims.len();
+    let cols = (*left_col, *right_col);
+    let (last_claim, last) = (&claims[n - 1].props, &justified[n - 1]);
+    if n == 2 {
+        return justify_join(
+            [&claims[0].props, last_claim],
+            [&justified[0], last],
+            cols,
+            report,
+        );
+    }
+    let (acc, _) = justify_fold(left, &claims[..n - 1], &justified[..n - 1], report);
+    justify_join([&acc, last_claim], [&acc, last], cols, report)
 }
 
 /// The soundness layer: each claim must be within what [`justify`]
-/// established. Run-claim violations at flat-materializing operators
+/// established. Run-claim violations at `flat`-materializing operators
 /// are reported with the legality-specific
 /// [`VerifyErrorKind::RunClaimAtFlatOperator`].
 fn check_soundness(
     plan: &Plan,
     claims: &Claims,
     justified: &PhysProps,
+    flat: bool,
     path: &[usize],
 ) -> Result<(), VerifyError> {
     let claimed = &claims.props;
@@ -694,7 +707,7 @@ fn check_soundness(
     }
     for &r in &claimed.run_encoded {
         if !justified.run_encoded.contains(&r) {
-            let kind = if materializes_flat(plan, claims) {
+            let kind = if flat {
                 VerifyErrorKind::RunClaimAtFlatOperator { col: r }
             } else {
                 VerifyErrorKind::UnsoundRunClaim {
@@ -790,6 +803,88 @@ mod tests {
             Some(4),
             "path resolves to the join"
         );
+    }
+
+    /// Every flow-typing rule, each at a non-root node: `verify` rejects
+    /// it with the typed kind at the right path, and `Plan::validate`
+    /// rejects it with the same located message.
+    #[test]
+    fn validate_and_verify_reject_the_same_malformed_plans() {
+        use crate::algebra::{leapfrog, CmpOp, Predicate};
+        use VerifyErrorKind::*;
+        let oob = |role, col, arity| ColumnOutOfRange { role, col, arity };
+        let select = Plan::Select {
+            input: Box::new(vp(1)),
+            pred: Predicate {
+                col: 2,
+                op: CmpOp::Eq,
+                value: 0,
+            },
+        };
+        let filter_in = Plan::FilterIn {
+            input: Box::new(vp(1)),
+            col: 3,
+            values: vec![1],
+        };
+        let having = Plan::HavingCountGt {
+            input: Box::new(project(vp(1), vec![])),
+            min: 0,
+        };
+        let table: Vec<(Plan, VerifyErrorKind)> = vec![
+            (
+                leapfrog(vec![vp(1)], vec![0]),
+                MalformedStar { inputs: 1, cols: 1 },
+            ),
+            (
+                leapfrog(vec![vp(1), vp(2)], vec![0]),
+                MalformedStar { inputs: 2, cols: 1 },
+            ),
+            (
+                leapfrog(vec![vp(1), vp(2)], vec![0, 5]),
+                oob("LeapfrogJoin key", 5, 2),
+            ),
+            (
+                Plan::UnionAll {
+                    inputs: vec![vp(1), scan_all()],
+                },
+                UnionArityMismatch {
+                    input: 1,
+                    got: 3,
+                    want: 2,
+                },
+            ),
+            (
+                Plan::UnionAll {
+                    inputs: vec![vp(1), group_count(vp(2), vec![0])],
+                },
+                UnionKindMismatch { input: 1 },
+            ),
+            (Plan::UnionAll { inputs: vec![] }, EmptyUnion),
+            (having, EmptySchema),
+            (select, oob("Select predicate", 2, 2)),
+            (join(vp(1), vp(2), 2, 0), oob("Join left key", 2, 2)),
+            (join(vp(1), vp(2), 0, 4), oob("Join right key", 4, 2)),
+            (filter_in, oob("FilterIn column", 3, 2)),
+            (project(vp(1), vec![0, 2]), oob("Project column", 2, 2)),
+            (group_count(vp(1), vec![1, 2]), oob("GroupCount key", 2, 2)),
+        ];
+        for (bad, kind) in table {
+            // Under a join's right side, below a distinct: path `$.1.0`.
+            let plan = join(
+                vp(9),
+                Plan::Distinct {
+                    input: Box::new(bad),
+                },
+                0,
+                0,
+            );
+            let e = verify(&plan, &pso()).unwrap_err();
+            assert_eq!(e.kind, kind, "{plan:?}");
+            assert_eq!(e.path.segments(), &[1, 0], "{e}");
+            let msg = plan.validate().unwrap_err();
+            assert_eq!(msg, e.to_string());
+            assert!(msg.starts_with("at $.1.0 ["), "{msg}");
+        }
     }
 
     #[test]

@@ -135,30 +135,39 @@ mod tests {
         let collected: Vec<_> = d.iter().collect();
         assert_eq!(collected, vec![(0, "x"), (1, "y")]);
     }
-}
 
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Interning any sequence of strings round-trips: every string maps
-        /// to an id that resolves back to the same string, and ids stay
-        /// dense in `0..len`.
-        #[test]
-        fn roundtrip_random(terms in proptest::collection::vec(".{0,24}", 0..200)) {
+    /// Interning any sequence of strings round-trips: every string maps
+    /// to an id that resolves back to the same string, and ids stay dense
+    /// in `0..len`. Seeded (xorshift64*, the workspace's offline
+    /// property-test generator) over short strings of a small alphabet
+    /// with multi-byte characters, so repeats are common.
+    #[test]
+    fn roundtrip_random() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |n: u64| {
+            rng ^= rng >> 12;
+            rng ^= rng << 25;
+            rng ^= rng >> 27;
+            rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        };
+        let alphabet = ['a', 'b', '<', '>', ' ', 'é', '語', '\n'];
+        for _ in 0..256 {
+            let terms: Vec<String> = (0..below(200))
+                .map(|_| {
+                    (0..below(4))
+                        .map(|_| alphabet[below(alphabet.len() as u64) as usize])
+                        .collect()
+                })
+                .collect();
             let mut d = Dictionary::new();
             let ids: Vec<Id> = terms.iter().map(|t| d.intern(t)).collect();
-            for (t, id) in terms.iter().zip(&ids) {
-                prop_assert_eq!(d.term(*id), t.as_str());
-                prop_assert_eq!(d.id_of(t), Some(*id));
+            for (t, &id) in terms.iter().zip(&ids) {
+                assert_eq!(d.term(id), t);
+                assert_eq!(d.id_of(t), Some(id));
             }
             let distinct: std::collections::HashSet<_> = terms.iter().collect();
-            prop_assert_eq!(d.len(), distinct.len());
-            for id in ids {
-                prop_assert!((id as usize) < d.len());
-            }
+            assert_eq!(d.len(), distinct.len());
+            assert!(ids.iter().all(|&id| (id as usize) < d.len()));
         }
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use swans_plan::algebra::{CmpOp, Plan};
+use swans_plan::algebra::{leapfrog_fold, CmpOp, Plan};
 use swans_plan::exec::{EngineError, QueryBudget};
 use swans_rdf::hash::{FxHashMap, FxHashSet, FxHasher};
 use swans_rdf::{Delta, Id, SortOrder, Triple};
@@ -214,14 +214,11 @@ impl RowEngine {
     }
 
     /// Builds the Volcano iterator tree for `plan` (already validated).
-    /// Operators that materialize eagerly (join builds, the leapfrog
-    /// fold, group-count tables) check and charge `budget` while they
-    /// build; streaming operators are policed by their consumer's loop.
-    fn iter<'a>(
-        &'a self,
-        plan: &'a Plan,
-        budget: &QueryBudget,
-    ) -> Result<RowsIter<'a>, EngineError> {
+    /// Operators that materialize eagerly (join builds, group-count
+    /// tables) check and charge `budget` while they build; streaming
+    /// operators are policed by their consumer's loop. The iterators
+    /// borrow only the tables, never `plan`.
+    fn iter<'a>(&'a self, plan: &Plan, budget: &QueryBudget) -> Result<RowsIter<'a>, EngineError> {
         Ok(match plan {
             Plan::ScanTriples { s, p, o } => {
                 let t = self
@@ -300,49 +297,10 @@ impl RowEngine {
                     current: None,
                 })
             }
+            // A star join runs as the binary hash join chain it is
+            // defined as.
             Plan::LeapfrogJoin { inputs, cols } => {
-                // The row store has no multi-way kernel: evaluate the
-                // binary hash-join fold the operator is defined as,
-                // materialized (the key keeps position cols[0] of every
-                // accumulated schema — input 0 sits at offset 0).
-                let key_col = cols[0];
-                let row_bytes = std::mem::size_of::<Row>() as u64;
-                let mut acc: Vec<Row> = self.iter(&inputs[0], budget)?.collect();
-                budget.charge(row_bytes * acc.len() as u64)?;
-                for (inp, &rc) in inputs[1..].iter().zip(&cols[1..]) {
-                    let mut by_key: FxHashMap<u64, Vec<Row>> = FxHashMap::default();
-                    let mut n = 0usize;
-                    for r in self.iter(inp, budget)? {
-                        by_key.entry(r.get(rc)).or_default().push(r);
-                        n += 1;
-                        if n % BUDGET_CHECK_ROWS == 0 {
-                            budget.check()?;
-                        }
-                    }
-                    budget.charge((row_bytes + 8) * n as u64)?;
-                    // The fold output can blow up quadratically on skewed
-                    // keys: charge as it grows so a memory limit aborts
-                    // *during* the blow-up, and honour mid-query
-                    // cancellation between batches.
-                    let mut next = Vec::new();
-                    let mut charged = 0u64;
-                    for l in &acc {
-                        if let Some(matches) = by_key.get(&l.get(key_col)) {
-                            for r in matches {
-                                next.push(l.concat(r));
-                            }
-                        }
-                        let grown = row_bytes * next.len() as u64;
-                        if grown - charged >= row_bytes * BUDGET_CHECK_ROWS as u64 {
-                            budget.charge(grown - charged)?;
-                            charged = grown;
-                            budget.check()?;
-                        }
-                    }
-                    budget.charge(row_bytes * next.len() as u64 - charged)?;
-                    acc = next;
-                }
-                Box::new(acc.into_iter())
+                self.iter(&leapfrog_fold(inputs, cols), budget)?
             }
             Plan::Project { input, cols } => {
                 let cols = cols.clone();

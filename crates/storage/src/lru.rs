@@ -232,45 +232,40 @@ mod tests {
         assert_eq!(lru.len(), 2);
         assert!(lru.nodes.len() <= 3);
     }
-}
 
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-    use std::collections::VecDeque;
-
-    /// Reference model: a VecDeque ordered most-recent-first.
-    fn model_touch(model: &mut VecDeque<u64>, cap: usize, key: u64) -> Option<u64> {
-        if let Some(pos) = model.iter().position(|&k| k == key) {
-            model.remove(pos);
-            model.push_front(key);
-            return None;
-        }
-        model.push_front(key);
-        if model.len() > cap {
-            model.pop_back()
-        } else {
-            None
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn matches_reference_model(
-            cap in 1usize..8,
-            keys in proptest::collection::vec(0u64..16, 0..200),
-        ) {
+    /// Touches random keys against a reference model — a `VecDeque`
+    /// ordered most-recent-first — for random capacities, seeded
+    /// (xorshift64*, the workspace's offline property-test generator).
+    #[test]
+    fn matches_reference_model() {
+        use std::collections::VecDeque;
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |n: u64| {
+            rng ^= rng >> 12;
+            rng ^= rng << 25;
+            rng ^= rng >> 27;
+            rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        };
+        for _ in 0..256 {
+            let cap = 1 + below(7) as usize;
             let mut lru = LruSet::new(cap);
             let mut model: VecDeque<u64> = VecDeque::new();
-            for k in keys {
-                let got = lru.touch(k);
-                let want = model_touch(&mut model, cap, k);
-                prop_assert_eq!(got, want);
-                prop_assert_eq!(lru.len(), model.len());
-                for m in &model {
-                    prop_assert!(lru.contains(m));
-                }
+            for _ in 0..below(200) {
+                let key = below(16);
+                let want = match model.iter().position(|&k| k == key) {
+                    Some(pos) => {
+                        model.remove(pos);
+                        model.push_front(key);
+                        None
+                    }
+                    None => {
+                        model.push_front(key);
+                        (model.len() > cap).then(|| model.pop_back()).flatten()
+                    }
+                };
+                assert_eq!(lru.touch(key), want, "cap {cap}, key {key}");
+                assert_eq!(lru.len(), model.len());
+                assert!(model.iter().all(|m| lru.contains(m)));
             }
         }
     }

@@ -28,42 +28,6 @@ struct Inner {
     disk: SimDisk,
     pool: BufferPool,
     segments: Vec<SegmentMeta>,
-    /// Real-time I/O factor: every touch/write sleeps `charged io_seconds
-    /// × this factor` of *wall-clock* time after releasing the lock.
-    /// 0 (the default) keeps I/O purely accounted.
-    realtime_scale: f64,
-}
-
-impl Inner {
-    /// Simulated I/O seconds charged so far — sampled before and after an
-    /// operation *under the lock*, so the delta is exactly that
-    /// operation's own charge even with concurrent callers.
-    fn charged_io_seconds(&self) -> f64 {
-        if self.realtime_scale > 0.0 {
-            self.disk.stats().io_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Wall-clock seconds the caller owes for the charge since `before`
-    /// (0 when real-time simulation is off).
-    fn realtime_wait(&self, before: f64) -> f64 {
-        if self.realtime_scale > 0.0 {
-            (self.disk.stats().io_seconds - before) * self.realtime_scale
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Sleeps the real-time I/O debt — outside the manager lock, so waiting
-/// threads never block each other's accounting (concurrent requests
-/// overlap their waits, exactly as they would on real hardware).
-fn realtime_sleep(seconds: f64) {
-    if seconds > 0.0 {
-        std::thread::sleep(std::time::Duration::from_secs_f64(seconds));
-    }
 }
 
 /// Shared storage service: one per loaded store instance.
@@ -104,7 +68,6 @@ impl StorageManager {
                 disk,
                 pool: BufferPool::new(pool_pages),
                 segments: Vec::new(),
-                realtime_scale: 0.0,
             })),
             stats,
         }
@@ -146,74 +109,42 @@ impl StorageManager {
         self.total_pages() * PAGE_SIZE as u64
     }
 
-    /// Switches *real-time I/O simulation* on (`scale > 0`) or off (`0`,
-    /// the default): every touch or write that charges simulated I/O wait
-    /// additionally sleeps `charged io_seconds × scale` of wall-clock time
-    /// on the calling thread, **after** releasing the manager lock.
-    ///
-    /// Accounting is unchanged — [`StorageManager::stats`] reports the
-    /// same simulated seconds either way. The mode exists for *serving*
-    /// benchmarks: a thread answering a query over non-resident data
-    /// genuinely blocks (as it would on a real disk), so concurrent
-    /// requests overlap their I/O waits and throughput scales with client
-    /// count even on a single core.
-    /// `scale` compresses wall time (e.g. `0.1` = one simulated second
-    /// sleeps 100 ms) so experiments finish quickly.
-    pub fn set_realtime_io(&self, scale: f64) {
-        self.lock().realtime_scale = scale.max(0.0);
-    }
-
-    /// The current real-time I/O factor (0 = off).
-    pub fn realtime_io(&self) -> f64 {
-        self.lock().realtime_scale
-    }
-
     /// Touches a single page (a point access, e.g. a secondary-index probe
     /// or a B+tree node visit).
     pub fn touch_page(&self, seg: SegmentId, page: u32) {
-        let wait = {
-            let mut inner = self.lock();
-            debug_assert!(page < inner.segments[seg.0 as usize].pages);
-            let before = inner.charged_io_seconds();
-            if !inner.pool.access(seg, page) {
-                inner.disk.read_run(seg, page, 1);
-            }
-            inner.realtime_wait(before)
-        };
-        realtime_sleep(wait);
+        let mut inner = self.lock();
+        debug_assert!(page < inner.segments[seg.0 as usize].pages);
+        if !inner.pool.access(seg, page) {
+            inner.disk.read_run(seg, page, 1);
+        }
     }
 
     /// Touches `count` pages starting at `first` as one scan. Consecutive
     /// non-resident pages are fetched in sequential runs; resident pages
     /// are skipped (and refreshed in the pool).
     pub fn touch_range(&self, seg: SegmentId, first: u32, count: u32) {
-        let wait = {
-            let mut inner = self.lock();
-            debug_assert!(
-                first + count <= inner.segments[seg.0 as usize].pages,
-                "range beyond segment {:?}: {first}+{count} > {}",
-                seg,
-                inner.segments[seg.0 as usize].pages
-            );
-            let before = inner.charged_io_seconds();
-            let mut run_start = None;
-            for page in first..first + count {
-                let hit = inner.pool.access(seg, page);
-                match (hit, run_start) {
-                    (true, Some(start)) => {
-                        inner.disk.read_run(seg, start, page - start);
-                        run_start = None;
-                    }
-                    (false, None) => run_start = Some(page),
-                    _ => {}
+        let mut inner = self.lock();
+        debug_assert!(
+            first + count <= inner.segments[seg.0 as usize].pages,
+            "range beyond segment {:?}: {first}+{count} > {}",
+            seg,
+            inner.segments[seg.0 as usize].pages
+        );
+        let mut run_start = None;
+        for page in first..first + count {
+            let hit = inner.pool.access(seg, page);
+            match (hit, run_start) {
+                (true, Some(start)) => {
+                    inner.disk.read_run(seg, start, page - start);
+                    run_start = None;
                 }
+                (false, None) => run_start = Some(page),
+                _ => {}
             }
-            if let Some(start) = run_start {
-                inner.disk.read_run(seg, start, first + count - start);
-            }
-            inner.realtime_wait(before)
-        };
-        realtime_sleep(wait);
+        }
+        if let Some(start) = run_start {
+            inner.disk.read_run(seg, start, first + count - start);
+        }
     }
 
     /// Touches the whole segment (the column-store "read the column on
@@ -227,22 +158,17 @@ impl StorageManager {
     /// write bytes and wait time. Written pages become pool-resident
     /// (they are the freshest copy).
     pub fn write_range(&self, seg: SegmentId, first: u32, count: u32) {
-        let wait = {
-            let mut inner = self.lock();
-            debug_assert!(
-                first + count <= inner.segments[seg.0 as usize].pages,
-                "write beyond segment {:?}: {first}+{count} > {}",
-                seg,
-                inner.segments[seg.0 as usize].pages
-            );
-            let before = inner.charged_io_seconds();
-            inner.disk.write_run(seg, first, count);
-            for page in first..first + count {
-                inner.pool.install(seg, page);
-            }
-            inner.realtime_wait(before)
-        };
-        realtime_sleep(wait);
+        let mut inner = self.lock();
+        debug_assert!(
+            first + count <= inner.segments[seg.0 as usize].pages,
+            "write beyond segment {:?}: {first}+{count} > {}",
+            seg,
+            inner.segments[seg.0 as usize].pages
+        );
+        inner.disk.write_run(seg, first, count);
+        for page in first..first + count {
+            inner.pool.install(seg, page);
+        }
     }
 
     /// Writes a single page (a point write, e.g. one B+tree leaf update).
@@ -323,38 +249,6 @@ mod tests {
         m.touch_range(seg, 0, 10);
         let hot = m.stats();
         assert_eq!(hot.bytes_read, cold.bytes_read, "warm pages cost nothing");
-    }
-
-    /// Real-time mode sleeps at least the scaled charge on cold touches
-    /// and charges identical simulated seconds either way.
-    #[test]
-    #[cfg_attr(miri, ignore = "sleeps wall-clock time")]
-    fn realtime_io_sleeps_the_charged_wait() {
-        let m = mgr();
-        let seg = m.create_segment("col", 64 * PAGE_SIZE as u64);
-        m.touch_range(seg, 0, 64); // accounted only: no realtime factor yet
-        let accounted = m.stats().io_seconds;
-        assert!(accounted > 0.0);
-
-        m.clear_pool();
-        m.reset_stats();
-        m.set_realtime_io(0.5);
-        assert_eq!(m.realtime_io(), 0.5);
-        let start = std::time::Instant::now();
-        m.touch_range(seg, 0, 64);
-        let slept = start.elapsed().as_secs_f64();
-        let charged = m.stats().io_seconds;
-        assert_eq!(charged, accounted, "accounting is unchanged by the mode");
-        assert!(
-            slept >= charged * 0.5,
-            "cold touch must sleep the scaled charge: slept {slept}s for {charged}s charged"
-        );
-
-        // A hot touch charges nothing, so it owes no sleep.
-        m.reset_stats();
-        m.touch_range(seg, 0, 64);
-        assert_eq!(m.stats().io_seconds, 0.0);
-        m.set_realtime_io(0.0);
     }
 
     #[test]

@@ -1,16 +1,12 @@
 //! Plan-quality acceptance suite for the cost-based optimizer and the
-//! leapfrog star kernel.
+//! star join.
 //!
-//! Four invariants, each load-bearing for PR 9:
+//! Four invariants:
 //!
 //! * **Fold equivalence** — a [`Plan::LeapfrogJoin`] returns exactly the
-//!   rows of its binary-join fold as the reference executor evaluates it,
-//!   across layouts, compression settings, pool widths and write-store
-//!   states (clean, pending delta, post-merge). The pending state
-//!   additionally pins the *fallback*: an input that lost its sort order
-//!   sends the node through the fold, and the dispatch counter proves it.
-//!   (Row-order identity of kernel and fold is pinned at kernel level, in
-//!   `swans_colstore::ops`' unit tests.)
+//!   rows, in order, of its binary-join fold on both engines, across
+//!   layouts, compression settings, pool widths and write-store states
+//!   (clean, pending delta, post-merge).
 //! * **Answer equality** — cost-based enumeration never changes answers
 //!   relative to the plan as submitted, evaluated by the reference
 //!   executor, on every benchmark query in every column configuration.
@@ -24,12 +20,13 @@
 
 use swans_colstore::ColumnEngine;
 use swans_datagen::rng::StdRng;
-use swans_plan::algebra::{join, leapfrog, Plan};
+use swans_plan::algebra::{join, leapfrog, leapfrog_fold, Plan};
 use swans_plan::naive;
 use swans_plan::queries::{QueryContext, QueryId};
 use swans_plan::verify::verify;
 use swans_plan::{build_plan, cost, estimate_rows, optimize_cbo, reorder_joins};
 use swans_rdf::{Dataset, Delta, SortOrder, Triple};
+use swans_rowstore::engine::{RowEngine, TripleIndexConfig};
 use swans_storage::{MachineProfile, StorageManager};
 
 /// The committed q-error regression threshold the `plan-quality` CI job
@@ -98,14 +95,37 @@ fn star_plans() -> Vec<Plan> {
     ]
 }
 
-/// The leapfrog node answers like its binary-join fold (which is how the
-/// reference executor evaluates it) in every state, and the dispatch
-/// counters prove which path ran: the kernel on clean sorted inputs, the
-/// fold while a pending insert breaks an input's order claim, the kernel
-/// again after the merge restores it.
+/// A star executes as its binary-join fold on both engines: the star and
+/// [`leapfrog_fold`] return the same rows in the same order, in every
+/// layout × compression × width × write-store state (clean, pending
+/// insert, merged), and both match the reference executor.
 #[test]
 fn leapfrog_matches_its_binary_fold_bit_identically() {
     let data = star_triples();
+    // An insert on property 3 downgrades that scan's order claim until
+    // the merge folds it in.
+    let insert = Triple::new(7, 3, 999);
+    let mut live = data.clone();
+    live.push(insert);
+    let check = |engine: &str, state: &str, run: &dyn Fn(&Plan) -> Vec<Vec<u64>>| {
+        for (i, star) in star_plans().iter().enumerate() {
+            let Plan::LeapfrogJoin { inputs, cols } = star else {
+                unreachable!("star_plans builds stars")
+            };
+            let rows = run(star);
+            assert_eq!(
+                rows,
+                run(&leapfrog_fold(inputs, cols)),
+                "{engine} star {i} ({state})"
+            );
+            let reference = if state == "clean" { &data } else { &live };
+            assert_eq!(
+                naive::normalize(rows),
+                naive::normalize(naive::execute(star, reference)),
+                "{engine} star {i} ({state}): wrong answers"
+            );
+        }
+    };
     for compress in [true, false] {
         for threads in [1usize, 2, 8] {
             let m = StorageManager::new(MachineProfile::B);
@@ -113,40 +133,26 @@ fn leapfrog_matches_its_binary_fold_bit_identically() {
             e.set_threads(threads);
             e.load_triple_store(&m, &data, SortOrder::Spo, compress);
             e.load_vertical(&m, &data, compress);
-
-            let mut live = data.clone();
-            for (state, delta) in [
-                ("clean", None),
-                // An insert on property 3 downgrades that scan's order
-                // claim until the merge folds it in.
-                ("pending", Some(Triple::new(7, 3, 999))),
-                ("merged", None),
-            ] {
-                if let Some(t) = delta {
-                    e.apply(&m, Delta::new().insert(t)).expect("applies");
-                    live.push(t);
-                } else if state == "merged" {
-                    e.merge(&m).expect("merges");
+            let label = format!("column (compress={compress}, threads={threads})");
+            for state in ["clean", "pending", "merged"] {
+                match state {
+                    "pending" => e.apply(&m, Delta::new().insert(insert)).expect("applies"),
+                    "merged" => e.merge(&m).expect("merges"),
+                    _ => {}
                 }
-                for (i, plan) in star_plans().iter().enumerate() {
-                    e.reset_exec_stats();
-                    let rows = e.execute(plan).expect("leapfrog plan").to_rows();
-                    assert_eq!(
-                        e.exec_stats().leapfrog_dispatches,
-                        u64::from(state != "pending"),
-                        "star {i} ({state}, compress={compress}, threads={threads}): \
-                         the kernel runs exactly when every input keeps its order"
-                    );
-                    assert_eq!(
-                        naive::normalize(rows),
-                        naive::normalize(naive::execute(plan, &live)),
-                        "star {i} ({state}, compress={compress}, threads={threads}): \
-                         wrong answers vs the reference fold"
-                    );
-                }
+                check(&label, state, &|p| e.execute(p).expect("runs").to_rows());
             }
         }
     }
+    // The row engine has no compression, width or merge state: it
+    // applies a delta to its tables in place.
+    let m = StorageManager::new(MachineProfile::B);
+    let mut row = RowEngine::new();
+    row.load_triple_store(&m, &data, &TripleIndexConfig::spo());
+    row.load_vertical(&m, &data);
+    check("row", "clean", &|p| row.execute(p).expect("runs"));
+    row.apply(&m, Delta::new().insert(insert)).expect("applies");
+    check("row", "pending", &|p| row.execute(p).expect("runs"));
 }
 
 /// Cost-based enumeration answers every benchmark query exactly like the
@@ -191,12 +197,10 @@ fn cbo_answers_match_the_rotation_baseline() {
     }
 }
 
-/// The enumerator actually *reaches* the leapfrog kernel through a
-/// submitted binary join chain: on a selective subject star — submitted
-/// in its worst order, dense arms first — enumeration collapses the
-/// chain into a [`Plan::LeapfrogJoin`] (clearing the plan-change
-/// hysteresis margin), the kernel dispatches, and answers match the
-/// reference executor's evaluation of the chain as written.
+/// On a selective subject star submitted in its worst order — dense arms
+/// first — enumeration keeps binary joins (it never builds a
+/// [`Plan::LeapfrogJoin`]), prices no higher than the chain as written,
+/// dispatches only merge joins, and answers like the reference executor.
 #[test]
 fn enumeration_collapses_a_selective_star_into_leapfrog() {
     let data = star_triples();
@@ -210,11 +214,18 @@ fn enumeration_collapses_a_selective_star_into_leapfrog() {
         0,
         0,
     );
-    let got = cbo.execute(&chain).expect("cbo run").to_rows();
+    let ctx = cbo.props_ctx();
+    let enumerated = optimize_cbo(chain.clone(), &ctx);
     assert!(
-        cbo.exec_stats().leapfrog_dispatches >= 1,
-        "enumeration kept the binary fold on a selective star"
+        !enumerated.explain().contains("LeapfrogJoin"),
+        "{}",
+        enumerated.explain()
     );
+    assert!(cost(&enumerated, &ctx) <= cost(&chain, &ctx));
+    let got = cbo.execute(&chain).expect("cbo run").to_rows();
+    let stats = cbo.exec_stats();
+    assert_eq!(stats.hash_joins, 0, "a sorted star merge-joins throughout");
+    assert!(stats.merge_joins >= 3);
     assert_eq!(
         naive::normalize(got),
         naive::normalize(naive::execute(&chain, &data))

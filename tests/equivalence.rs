@@ -79,9 +79,9 @@ fn equivalence_when_everything_is_interesting() {
     check_all(&ds, 30);
 }
 
-/// The sortedness-aware column-engine paths (merge joins, leapfrog
-/// stars, run-based aggregation, linear distinct, binary-search
-/// selection) genuinely fire on every column layout — read off the
+/// The sortedness-aware column-engine paths (merge joins, run-based
+/// aggregation, linear distinct, binary-search selection) genuinely
+/// fire on every column layout — read off the
 /// engine's dispatch counters — while answering all twelve benchmark
 /// queries exactly like the reference executor, whose nested-loop joins
 /// and hash aggregation know nothing about order.
@@ -104,7 +104,7 @@ fn sorted_paths_match_hash_paths_on_all_column_layouts() {
                 .map_or(0, |&(_, v)| v)
         };
         assert!(
-            count("merge_joins") + count("leapfrog_dispatches") > 0,
+            count("merge_joins") > 0,
             "{}: no order-exploiting join dispatched: {counters:?}",
             store.config().label()
         );

@@ -1,6 +1,7 @@
 //! The paper's qualitative findings as executable assertions — each test
 //! pins one "shape" the reproduction must exhibit. These are the
-//! regression harness for the conclusions recorded in EXPERIMENTS.md.
+//! regression harness for the conclusions the `all_experiments` report
+//! (`swans-bench`) prints.
 //!
 //! Timing shapes only hold for optimized code (a debug build distorts the
 //! engines' relative CPU costs), so every test here is ignored under

@@ -317,17 +317,16 @@ mod dispatch {
         let mut sorted = ColumnEngine::new();
         sorted.load_vertical(&m, &ds.triples, true);
 
-        // q5 joins two subject-sorted property tables directly and q4's
-        // chain is reordered so a sorted pair merges first; q7's
-        // three-way subject star goes to the leapfrog kernel instead of
-        // a merge-join pair since cost-based enumeration landed.
+        // q5 joins two subject-sorted property tables directly, q4's
+        // chain is reordered so a sorted pair merges first, and q7's
+        // three-way subject star merge-joins its sorted arms.
         for q in [QueryId::Q4, QueryId::Q5, QueryId::Q7] {
             let plan = build_plan(q, Scheme::VerticallyPartitioned, &ctx);
             sorted.reset_exec_stats();
             let got = sorted.execute(&plan).expect("sorted run");
             let stats = sorted.exec_stats();
             assert!(
-                stats.merge_joins >= 1 || stats.leapfrog_dispatches >= 1,
+                stats.merge_joins >= 1,
                 "{q}: expected an order-exploiting join, got {stats:?}"
             );
             assert_eq!(

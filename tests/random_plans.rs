@@ -1,21 +1,17 @@
 //! Plan-level fuzzing, in two tiers.
 //!
-//! **Mutation fuzzing of the plan verifier** (always on): every benchmark
-//! plan, under every physical context, verifies cleanly — and stops
-//! verifying the moment a single point is corrupted. The fuzzer derives
-//! the optimizer's own claim tree, then flips exactly one thing — a
-//! property claim (`sorted_by` / `distinct` / `run_encoded`) or a column
-//! index inside the plan itself — and asserts `swans_plan::verify`
-//! rejects the mutant with an error whose path resolves to a real node.
+//! **Mutation fuzzing of the plan verifier**: every benchmark plan, under
+//! every physical context, verifies cleanly — and stops verifying the
+//! moment a single point is corrupted. The fuzzer derives the optimizer's
+//! own claim tree, then flips exactly one thing — a property claim
+//! (`sorted_by` / `distinct` / `run_encoded`) or a column index inside the
+//! plan itself — and asserts `swans_plan::verify` rejects the mutant with
+//! an error whose path resolves to a real node.
 //!
-//! **Property-based cross-engine fuzzing** (feature-gated): for
-//! *arbitrary* logical plans over arbitrary small data sets, the row
+//! **Seeded cross-engine fuzzing**: for *arbitrary* generated logical
+//! plans (star joins included) over arbitrary small data sets, the row
 //! engine, the column engine (all three clustering orders) and the naive
-//! reference executor must return exactly the same bag of rows. Requires
-//! the `proptest` crate, which is not declared as a dependency so the
-//! workspace keeps resolving offline. To re-enable where crates.io is
-//! reachable: add `proptest = "1"` to `[dev-dependencies]` of the root
-//! package, then run `cargo test --features proptests`.
+//! reference executor must return exactly the same bag of rows.
 
 use swans_datagen::rng::StdRng;
 use swans_plan::queries::{build_plan, QueryContext, QueryId, Scheme};
@@ -251,182 +247,196 @@ fn verifier_rejects_single_point_mutants() {
     );
 }
 
-/// Cross-engine equivalence on arbitrary generated plans (feature-gated:
-/// needs the undeclared `proptest` crate — see the module docs).
-#[cfg(feature = "proptests")]
+/// Cross-engine equivalence on arbitrary generated plans, seeded.
 mod cross_engine {
-    use proptest::prelude::*;
-
     use swans_colstore::ColumnEngine;
+    use swans_datagen::rng::StdRng;
     use swans_plan::algebra::{CmpOp, Plan, Predicate};
-    use swans_plan::naive;
+    use swans_plan::{naive, verify::verify, PropsContext};
     use swans_rdf::{SortOrder, Triple};
     use swans_rowstore::engine::{RowEngine, TripleIndexConfig};
     use swans_storage::{MachineProfile, StorageManager};
 
-    const ID_SPACE: u64 = 8;
+    const ID_SPACE: usize = 8;
+    /// Widest generated row: joins and stars wider than this degrade to
+    /// their first input, keeping rows inside the row engine's limit.
+    const MAX_ARITY: usize = 9;
 
-    fn arb_opt_id() -> impl Strategy<Value = Option<u64>> {
-        proptest::option::of(0..ID_SPACE)
+    fn id(rng: &mut StdRng) -> u64 {
+        rng.random_range(0..ID_SPACE) as u64
     }
 
-    fn arb_leaf() -> impl Strategy<Value = Plan> {
-        prop_oneof![
-            (arb_opt_id(), arb_opt_id(), arb_opt_id()).prop_map(|(s, p, o)| Plan::ScanTriples {
-                s,
-                p,
-                o
-            }),
-            (0..ID_SPACE, arb_opt_id(), arb_opt_id(), any::<bool>()).prop_map(
-                |(property, s, o, emit_property)| Plan::ScanProperty {
-                    property,
-                    s,
-                    o,
-                    emit_property,
+    fn opt_id(rng: &mut StdRng) -> Option<u64> {
+        (rng.random_range(0..2) == 0).then(|| id(rng))
+    }
+
+    fn leaf(rng: &mut StdRng) -> Plan {
+        if rng.random_range(0..2) == 0 {
+            Plan::ScanTriples {
+                s: opt_id(rng),
+                p: opt_id(rng),
+                o: opt_id(rng),
+            }
+        } else {
+            Plan::ScanProperty {
+                property: id(rng),
+                s: opt_id(rng),
+                o: opt_id(rng),
+                emit_property: rng.random_range(0..2) == 0,
+            }
+        }
+    }
+
+    /// A random plan at most `depth` operators deep. Column indices are
+    /// drawn modulo the child arity, so every generated plan is valid.
+    fn plan(rng: &mut StdRng, depth: usize) -> Plan {
+        if depth == 0 || rng.random_range(0..4) == 0 {
+            return leaf(rng);
+        }
+        let input = plan(rng, depth - 1);
+        let a = input.arity();
+        match rng.random_range(0..9) {
+            0 => {
+                let pred = Predicate {
+                    col: rng.random_range(0..a),
+                    op: if rng.random_range(0..2) == 0 {
+                        CmpOp::Eq
+                    } else {
+                        CmpOp::Ne
+                    },
+                    value: id(rng),
+                };
+                Plan::Select {
+                    input: Box::new(input),
+                    pred,
                 }
-            ),
-        ]
+            }
+            1 => Plan::FilterIn {
+                col: rng.random_range(0..a),
+                values: (0..rng.random_range(0..4)).map(|_| id(rng)).collect(),
+                input: Box::new(input),
+            },
+            2 => {
+                let right = plan(rng, depth - 1);
+                if a + right.arity() > MAX_ARITY {
+                    return input;
+                }
+                Plan::Join {
+                    left_col: rng.random_range(0..a),
+                    right_col: rng.random_range(0..right.arity()),
+                    left: Box::new(input),
+                    right: Box::new(right),
+                }
+            }
+            3 => Plan::Project {
+                cols: (0..rng.random_range(1..4))
+                    .map(|_| rng.random_range(0..a))
+                    .collect(),
+                input: Box::new(input),
+            },
+            4 => {
+                let mut keys = vec![rng.random_range(0..a)];
+                let k1 = rng.random_range(0..a);
+                if rng.random_range(0..2) == 0 && !keys.contains(&k1) {
+                    keys.push(k1);
+                }
+                Plan::GroupCount {
+                    input: Box::new(input),
+                    keys,
+                }
+            }
+            // Valid over any non-empty schema: filters on the last column.
+            5 => Plan::HavingCountGt {
+                input: Box::new(input),
+                min: rng.random_range(0..3) as u64,
+            },
+            // Two structurally identical branches.
+            6 => Plan::UnionAll {
+                inputs: vec![input.clone(), input],
+            },
+            7 => Plan::Distinct {
+                input: Box::new(input),
+            },
+            // A 2–3-way star. Half the time its inputs are bare scans keyed
+            // on column 0, which most layouts keep sorted; otherwise the
+            // keys land anywhere, mostly on unsorted columns.
+            _ => {
+                let scans = rng.random_range(0..2) == 0;
+                let mut inputs = vec![if scans { leaf(rng) } else { input }];
+                for _ in 1..rng.random_range(2..4) {
+                    inputs.push(if scans {
+                        leaf(rng)
+                    } else {
+                        plan(rng, depth - 1)
+                    });
+                }
+                if inputs.iter().map(Plan::arity).sum::<usize>() > MAX_ARITY {
+                    return inputs.swap_remove(0);
+                }
+                let cols = inputs
+                    .iter()
+                    .map(|i| {
+                        if scans {
+                            0
+                        } else {
+                            rng.random_range(0..i.arity())
+                        }
+                    })
+                    .collect();
+                Plan::LeapfrogJoin { inputs, cols }
+            }
+        }
     }
 
-    /// Recursive plan generator. Column indices are drawn as raw seeds and
-    /// reduced modulo the child arity, so every generated plan is valid.
-    fn arb_plan() -> impl Strategy<Value = Plan> {
-        arb_leaf().prop_recursive(3, 20, 2, |inner| {
-            prop_oneof![
-                // Select
-                (inner.clone(), any::<usize>(), 0..ID_SPACE, any::<bool>()).prop_map(
-                    |(p, colseed, value, ne)| {
-                        let col = colseed % p.arity();
-                        Plan::Select {
-                            input: Box::new(p),
-                            pred: Predicate {
-                                col,
-                                op: if ne { CmpOp::Ne } else { CmpOp::Eq },
-                                value,
-                            },
-                        }
-                    }
-                ),
-                // FilterIn
-                (
-                    inner.clone(),
-                    any::<usize>(),
-                    proptest::collection::vec(0..ID_SPACE, 0..4)
-                )
-                    .prop_map(|(p, colseed, values)| {
-                        let col = colseed % p.arity();
-                        Plan::FilterIn {
-                            input: Box::new(p),
-                            col,
-                            values,
-                        }
-                    }),
-                // Join (cap the combined arity to keep row widths legal)
-                (inner.clone(), inner.clone(), any::<usize>(), any::<usize>()).prop_map(
-                    |(l, r, ls, rs)| {
-                        if l.arity() + r.arity() > 9 {
-                            // Too wide: degrade to the left child.
-                            return l;
-                        }
-                        let left_col = ls % l.arity();
-                        let right_col = rs % r.arity();
-                        Plan::Join {
-                            left: Box::new(l),
-                            right: Box::new(r),
-                            left_col,
-                            right_col,
-                        }
-                    }
-                ),
-                // Project (non-empty)
-                (
-                    inner.clone(),
-                    proptest::collection::vec(any::<usize>(), 1..4)
-                )
-                    .prop_map(|(p, seeds)| {
-                        let a = p.arity();
-                        Plan::Project {
-                            input: Box::new(p),
-                            cols: seeds.into_iter().map(|s| s % a).collect(),
-                        }
-                    }),
-                // GroupCount on 1–2 distinct keys
-                (
-                    inner.clone(),
-                    any::<usize>(),
-                    proptest::option::of(any::<usize>())
-                )
-                    .prop_map(|(p, k0, k1)| {
-                        let a = p.arity();
-                        let mut keys = vec![k0 % a];
-                        if let Some(k1) = k1 {
-                            let k1 = k1 % a;
-                            if !keys.contains(&k1) {
-                                keys.push(k1);
-                            }
-                        }
-                        Plan::GroupCount {
-                            input: Box::new(p),
-                            keys,
-                        }
-                    }),
-                // HavingCountGt (valid over any non-empty schema: filters on
-                // the last column)
-                (inner.clone(), 0u64..3).prop_map(|(p, min)| Plan::HavingCountGt {
-                    input: Box::new(p),
-                    min,
-                }),
-                // UnionAll of two structurally identical branches
-                inner.clone().prop_map(|p| Plan::UnionAll {
-                    inputs: vec![p.clone(), p],
-                }),
-                // Distinct
-                inner.prop_map(|p| Plan::Distinct { input: Box::new(p) }),
-            ]
-        })
+    fn triples(rng: &mut StdRng) -> Vec<Triple> {
+        (0..rng.random_range(0..60))
+            .map(|_| Triple::new(id(rng), id(rng), id(rng)))
+            .collect()
     }
 
-    fn arb_triples() -> impl Strategy<Value = Vec<Triple>> {
-        proptest::collection::vec(
-            (0..ID_SPACE, 0..ID_SPACE, 0..ID_SPACE).prop_map(|(s, p, o)| Triple::new(s, p, o)),
-            0..60,
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        #[test]
-        fn engines_match_naive_on_random_plans(
-            triples in arb_triples(),
-            plan in arb_plan(),
-        ) {
-            prop_assert_eq!(plan.validate(), Ok(()));
+    #[test]
+    fn engines_match_naive_on_random_plans() {
+        let mut stars = 0;
+        for seed in 0..256 {
+            let mut rng = StdRng::seed_from_u64(0xC0_FFEE + seed);
+            let triples = triples(&mut rng);
+            let plan = plan(&mut rng, 3);
+            stars += plan.explain().matches("LeapfrogJoin").count();
+            assert_eq!(plan.validate(), Ok(()), "{plan:?}");
+            for order in [
+                None,
+                Some(SortOrder::Spo),
+                Some(SortOrder::Pso),
+                Some(SortOrder::Osp),
+            ] {
+                let ctx = PropsContext {
+                    triple_order: order,
+                    ..PropsContext::default()
+                };
+                verify(&plan, &ctx).unwrap_or_else(|e| panic!("{e} on {plan:?}"));
+            }
             let want = naive::normalize(naive::execute(&plan, &triples));
 
             // The optimizer's rewrites must preserve answers on any plan.
             let optimized = swans_plan::optimize(plan.clone());
-            prop_assert_eq!(optimized.validate(), Ok(()));
+            assert_eq!(optimized.validate(), Ok(()));
             let opt_rows = naive::normalize(naive::execute(&optimized, &triples));
-            prop_assert_eq!(
-                &opt_rows, &want,
-                "optimize() changed answers: {:?} -> {:?}", plan, optimized
+            assert_eq!(
+                opt_rows, want,
+                "optimize() changed answers: {plan:?} -> {optimized:?}"
             );
 
             // Scheme lowering must preserve answers too (given the complete
             // property list of the data set).
-            let all_props: Vec<u64> = {
-                let mut ps: Vec<u64> = triples.iter().map(|t| t.p).collect();
-                ps.sort_unstable();
-                ps.dedup();
-                ps
-            };
+            let mut all_props: Vec<u64> = triples.iter().map(|t| t.p).collect();
+            all_props.sort_unstable();
+            all_props.dedup();
             let lowered = swans_plan::lower_to_vertical(&plan, &all_props);
-            prop_assert_eq!(lowered.validate(), Ok(()));
+            assert_eq!(lowered.validate(), Ok(()));
             let low_rows = naive::normalize(naive::execute(&lowered, &triples));
-            prop_assert_eq!(
-                &low_rows, &want,
-                "lower_to_vertical() changed answers on {:?}", plan
+            assert_eq!(
+                low_rows, want,
+                "lower_to_vertical() changed answers on {plan:?}"
             );
 
             // Column engine under all clustering orders — executing both the
@@ -436,17 +446,10 @@ mod cross_engine {
                 let mut col = ColumnEngine::new();
                 col.load_triple_store(&m, &triples, order, true);
                 col.load_vertical(&m, &triples, false);
-                let got = naive::normalize(col.execute(&plan).expect("plan executes").to_rows());
-                prop_assert_eq!(
-                    &got, &want,
-                    "column engine ({}) diverged on {:?}", order, plan
-                );
-                let got_opt =
-                    naive::normalize(col.execute(&optimized).expect("plan executes").to_rows());
-                prop_assert_eq!(
-                    &got_opt, &want,
-                    "column engine ({}) diverged on optimized {:?}", order, optimized
-                );
+                for p in [&plan, &optimized] {
+                    let got = naive::normalize(col.execute(p).expect("plan executes").to_rows());
+                    assert_eq!(got, want, "column engine ({order}) diverged on {p:?}");
+                }
             }
 
             // Row engine under both paper index configurations.
@@ -456,11 +459,14 @@ mod cross_engine {
                 row.load_triple_store(&m, &triples, &config);
                 row.load_vertical(&m, &triples);
                 let got = naive::normalize(row.execute(&plan).expect("plan executes"));
-                prop_assert_eq!(
-                    &got, &want,
-                    "row engine ({}) diverged on {:?}", config.cluster, plan
+                assert_eq!(
+                    got, want,
+                    "row engine ({}) diverged on {plan:?}",
+                    config.cluster
                 );
             }
         }
+        eprintln!("cross-engine fuzzer: {stars} star joins");
+        assert!(stars >= 10, "generator starved of star joins: {stars}");
     }
 }
