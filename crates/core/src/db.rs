@@ -50,6 +50,17 @@ struct WriterState {
     version: u64,
 }
 
+/// The writer's data set, copied first if a published snapshot shares it
+/// (`Arc::make_mut`), with room for `extra` more triples: that copy is
+/// the only one a commit makes of the triple bag, and the dictionary's
+/// sealed segments are shared, not copied.
+fn writable(dataset: &mut Arc<Dataset>, extra: usize) -> &mut Dataset {
+    if Arc::get_mut(dataset).is_none() {
+        *dataset = Arc::new(dataset.clone_with_room(extra));
+    }
+    Arc::get_mut(dataset).expect("the writer's data set is unshared")
+}
+
 /// A data set opened in one physical configuration, queryable with SPARQL
 /// and mutable through [`Database::insert`] / [`Database::delete`] — from
 /// any number of threads at once (see the module docs for the snapshot
@@ -168,8 +179,14 @@ impl Database {
         Ok(Self::from_parts(dataset, store, Some(durable)))
     }
 
-    /// Assembles the writer side and publishes version 1.
-    fn from_parts(dataset: Arc<Dataset>, store: RdfStore, durable: Option<Durable>) -> Self {
+    /// Assembles the writer side and publishes version 1. A data set the
+    /// writer owns alone has its dictionary sealed first, so the first
+    /// commit copies no terms; a data set the caller still shares is left
+    /// as it is (sealing it would copy it) and the first commit seals.
+    fn from_parts(mut dataset: Arc<Dataset>, store: RdfStore, durable: Option<Durable>) -> Self {
+        if let Some(owned) = Arc::get_mut(&mut dataset) {
+            owned.dict.seal();
+        }
         let config = store.config().clone();
         let storage = store.storage().clone();
         let mut writer = WriterState {
@@ -335,16 +352,15 @@ impl Database {
         &self,
         triples: impl IntoIterator<Item = (&'a str, &'a str, &'a str)>,
     ) -> Result<usize, Error> {
-        let mut writer = self.writer();
-        let mut delta = Delta::new();
-        {
-            let dataset = Arc::make_mut(&mut writer.dataset);
-            for (s, p, o) in triples {
-                delta.insert(dataset.encode(s, p, o));
-            }
-        }
-        if delta.is_empty() {
+        let triples: Vec<_> = triples.into_iter().collect();
+        if triples.is_empty() {
             return Ok(0);
+        }
+        let mut writer = self.writer();
+        let dataset = writable(&mut writer.dataset, triples.len());
+        let mut delta = Delta::new();
+        for (s, p, o) in triples {
+            delta.insert(dataset.encode(s, p, o));
         }
         self.commit(&mut writer, &delta)?;
         Ok(delta.inserts.len())
@@ -412,19 +428,36 @@ impl Database {
     /// budget checkpoints next. **Publication is last**: the new version
     /// becomes visible only after it is durable — a reader can never
     /// observe a batch that a crash could lose.
+    ///
+    /// Whatever the outcome, the commit ends by sealing the dictionary
+    /// tail: the terms the batch interned (acknowledged or orphaned)
+    /// become a shared segment, so the next commit's copy of the data set
+    /// copies segment pointers, not strings.
     fn commit(&self, writer: &mut WriterState, delta: &Delta) -> Result<(), Error> {
+        let outcome = Self::commit_unpublished(writer, delta);
+        // The data set is still shared only when a batch that interned
+        // nothing (a delete, an encoded delta) failed before applying.
+        if let Some(dataset) = Arc::get_mut(&mut writer.dataset) {
+            dataset.dict.seal();
+        }
+        outcome?;
+        self.publish(writer);
+        Ok(())
+    }
+
+    /// [`Database::commit`] up to publication.
+    fn commit_unpublished(writer: &mut WriterState, delta: &Delta) -> Result<(), Error> {
         if let Some(durable) = &mut writer.durable {
             durable.append_batch(&writer.dataset.dict, delta)?;
         }
         writer.store.apply(delta)?;
-        Arc::make_mut(&mut writer.dataset).apply(delta);
+        writable(&mut writer.dataset, delta.inserts.len()).apply(delta);
         let wants_checkpoint = writer.durable.as_ref().is_some_and(|durable| {
             writer.store.merges() != durable.engine_merges || durable.wants_checkpoint()
         });
         if wants_checkpoint {
             Self::checkpoint_writer(writer)?;
         }
-        self.publish(writer);
         Ok(())
     }
 
@@ -1183,6 +1216,118 @@ mod tests {
         let after = db.storage().stats().since(&before);
         assert!(after.syncs >= 1, "commit must fsync");
         assert!(after.bytes_synced > 0);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Fresh terms for commit `i`: a few subjects and objects no earlier
+    /// commit used, so every commit seals a new dictionary segment.
+    fn fresh_triples(i: usize) -> Vec<(String, String, String)> {
+        (0..1 + i % 5)
+            .map(|k| {
+                (
+                    format!("<c{i}-s{k}>"),
+                    "<churn>".to_string(),
+                    format!("\"c{i}-o{k}\""),
+                )
+            })
+            .collect()
+    }
+
+    fn terms(triples: &[(String, String, String)]) -> impl Iterator<Item = (&str, &str, &str)> {
+        triples.iter().map(|(s, p, o)| (&**s, &**p, &**o))
+    }
+
+    /// A pinned reader decodes bit-identically while the writer commits,
+    /// seals and merges dictionary segments under it: the segments it
+    /// holds are never mutated, and ids never move.
+    #[test]
+    fn pinned_reader_decodes_identically_across_seals_and_segment_merges() {
+        for config in [
+            StoreConfig::column(Layout::VerticallyPartitioned).with_merge_threshold(7),
+            StoreConfig::row(Layout::TripleStore(SortOrder::Pso)),
+        ] {
+            let label = config.label();
+            let db = Database::open(dataset(), config).expect("opens");
+            for i in 0..12 {
+                db.insert(terms(&fresh_triples(i))).expect("inserts");
+            }
+            let q = "SELECT ?s ?o WHERE { ?s <churn> ?o }";
+            let all = "SELECT ?s ?l WHERE { ?s <lang> ?l }";
+            let pinned = db.session().expect("pins");
+            let (before, before_all) = (
+                pinned.query(q).expect("queries"),
+                pinned.query(all).expect("queries"),
+            );
+            assert_eq!(before.len(), (0..12).map(|i| 1 + i % 5).sum::<usize>());
+            for i in 12..300 {
+                db.insert(terms(&fresh_triples(i))).expect("inserts");
+                if i % 50 == 0 {
+                    db.delete(terms(&fresh_triples(i - 1))).expect("deletes");
+                    db.merge().expect("merges");
+                }
+            }
+            let (after, after_all) = (
+                pinned.query(q).expect("queries"),
+                pinned.query(all).expect("queries"),
+            );
+            assert_eq!(after.ids(), before.ids(), "{label}");
+            assert_eq!(after.decoded(), before.decoded(), "{label}");
+            assert_eq!(after_all.decoded(), before_all.decoded(), "{label}");
+            // The latest version resolves the pinned ids to the same terms.
+            let latest = db.dataset();
+            for (row, decoded) in before.ids().iter().zip(before.decoded()) {
+                let terms: Vec<&str> = row.iter().map(|&id| latest.dict.term(id)).collect();
+                assert_eq!(terms, decoded, "{label}");
+            }
+        }
+    }
+
+    /// The orphan case of the WAL watermark, across a seal: a batch's
+    /// terms are interned, its append fails, and the commit still seals
+    /// them into a segment. The next acknowledged append starts inside
+    /// the sealed segments and carries the orphans; recovery reproduces
+    /// every id.
+    #[test]
+    #[cfg_attr(miri, ignore)] // real file I/O
+    fn orphaned_terms_of_a_sealed_failed_batch_replay_with_their_ids() {
+        use swans_storage::{FaultKind, FaultPolicy, FaultState};
+        let dir = scratch("orphan-seal");
+        let faults = FaultState::new();
+        let options = DurabilityOptions {
+            faults: Some(faults.clone()),
+            ..DurabilityOptions::default()
+        };
+        let config = StoreConfig::column(Layout::VerticallyPartitioned);
+        let db = Database::import_at(&dir, dataset(), config.clone(), options).expect("imports");
+        for i in 0..3 {
+            db.insert(terms(&fresh_triples(i))).expect("inserts");
+        }
+        let orphans = fresh_triples(3);
+        faults.arm(FaultPolicy {
+            at_op: faults.ops(),
+            kind: FaultKind::Error,
+        });
+        assert!(db.insert(terms(&orphans)).is_err(), "the append must fail");
+        faults.disarm();
+        for i in 4..9 {
+            db.insert(terms(&fresh_triples(i))).expect("inserts");
+        }
+        let live = db.dataset();
+        drop(db);
+
+        let back = Database::open_at(&dir, config).expect("reopens");
+        assert_eq!(back.recovery_report().unwrap().replayed_batches, 8);
+        let recovered = back.dataset();
+        assert_eq!(recovered.dict.len(), live.dict.len());
+        assert!(recovered.dict.iter().eq(live.dict.iter()), "ids moved");
+        let (s, p, o) = &orphans[0];
+        assert!(recovered.dict.id_of(s).is_some(), "orphan terms replay");
+        let orphan = recovered.try_encode(s, p, o).expect("terms known");
+        assert!(
+            !recovered.triples.contains(&orphan),
+            "the unacknowledged triple does not"
+        );
+        assert_eq!(recovered.len(), live.len());
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -46,7 +46,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use swans_rdf::{Dataset, Delta, Dictionary};
+use swans_rdf::{Dataset, Delta, Dictionary, Id, Triple};
 use swans_storage::fault::FaultState;
 use swans_storage::snapshot::{read_snapshot, write_snapshot, SnapshotData};
 use swans_storage::wal::{WalOptions, WalTail, WalWriter, WAL_FILE};
@@ -110,10 +110,9 @@ pub struct RecoveryReport {
 /// Serializes one commit: the dictionary terms introduced since the
 /// durable watermark, then the delta image.
 fn encode_batch(dict: &Dictionary, from: usize, delta: &Delta) -> Vec<u8> {
-    let new_terms: Vec<&str> = dict.iter().skip(from).map(|(_, term)| term).collect();
     let mut out = Vec::new();
-    out.extend_from_slice(&(new_terms.len() as u32).to_le_bytes());
-    for term in new_terms {
+    out.extend_from_slice(&((dict.len() - from) as u32).to_le_bytes());
+    for (_, term) in dict.terms_from(from as Id) {
         out.extend_from_slice(&(term.len() as u32).to_le_bytes());
         out.extend_from_slice(term.as_bytes());
     }
@@ -197,12 +196,12 @@ impl Durable {
             report.snapshot_triples = snap.n_triples;
             report.snapshot_bytes = bytes;
             base_seq = snap.last_seq;
+            dataset.dict = Dictionary::with_capacity(snap.terms.len());
             for term in &snap.terms {
                 dataset.dict.intern(term);
             }
-            for [s, p, o] in snap.rows() {
-                dataset.add_encoded(swans_rdf::Triple::new(s, p, o));
-            }
+            let rows = snap.rows().into_iter();
+            dataset.triples = rows.map(|[s, p, o]| Triple::new(s, p, o)).collect();
         }
 
         let wal_opts = WalOptions {
@@ -306,7 +305,7 @@ impl Durable {
     /// durable was given up.
     pub fn checkpoint(&mut self, dataset: &Dataset) -> Result<u64, Error> {
         let last_seq = self.wal.next_seq() - 1;
-        let terms: Vec<String> = dataset.dict.iter().map(|(_, t)| t.to_string()).collect();
+        let terms: Vec<&str> = dataset.dict.iter().map(|(_, t)| t).collect();
         let mut rows: Vec<[u64; 3]> = dataset.triples.iter().map(|t| t.as_row()).collect();
         rows.sort_unstable();
         let snap = SnapshotData::from_rows(last_seq, terms, &rows);
@@ -507,6 +506,30 @@ mod tests {
         assert_eq!(back.dict.id_of("<orphan-s>"), ds.dict.id_of("<orphan-s>"));
         assert_eq!(back.len(), 1);
         assert_eq!(back.try_encode("<s2>", "<p>", "<o2>"), Some(t2));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A checkpoint encodes borrowed terms; the file holds exactly the
+    /// bytes an owned copy of every term would have encoded.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn checkpoint_writes_the_bytes_of_an_owned_encoding() {
+        let dir = scratch("bytes");
+        let mut ds = Dataset::new();
+        for i in 0..50 {
+            ds.add(&format!("<s{}>", i % 7), "<p>", &format!("\"o{i}\""));
+            if i % 9 == 0 {
+                ds.dict.seal();
+            }
+        }
+        let durable = Durable::create_from(&dir, &ds, DurabilityOptions::default()).unwrap();
+        let terms: Vec<String> = ds.dict.iter().map(|(_, t)| t.to_string()).collect();
+        let mut rows: Vec<[u64; 3]> = ds.triples.iter().map(|t| t.as_row()).collect();
+        rows.sort_unstable();
+        let owned = SnapshotData::from_rows(0, terms, &rows).encode();
+        let written = std::fs::read(dir.join(swans_storage::SNAPSHOT_FILE)).unwrap();
+        assert_eq!(written, owned);
+        assert_eq!(durable.snapshot_bytes(), owned.len() as u64);
         let _ = std::fs::remove_dir_all(dir);
     }
 

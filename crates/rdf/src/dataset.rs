@@ -8,6 +8,9 @@ use crate::{Delta, Dictionary, Id, Triple};
 /// This is the neutral interchange form: the storage engines load from it,
 /// the generator produces it, and [`crate::stats`] summarizes it. Triples
 /// are kept in load order; the storage schemes impose their own clustering.
+///
+/// A clone copies the triple bag but shares the dictionary's sealed
+/// segments ([`Dictionary::seal`]): only the unsealed tail is copied.
 #[derive(Debug, Default, Clone)]
 pub struct Dataset {
     /// Term dictionary shared by subjects, properties and objects.
@@ -27,6 +30,18 @@ impl Dataset {
         Self {
             dict: Dictionary::with_capacity(triples / 2),
             triples: Vec::with_capacity(triples),
+        }
+    }
+
+    /// A clone whose triple bag has room for `extra` more triples, so a
+    /// copy-on-write that then appends a batch copies the bag once instead
+    /// of copying it and then growing it.
+    pub fn clone_with_room(&self, extra: usize) -> Self {
+        let mut triples = Vec::with_capacity(self.triples.len() + extra);
+        triples.extend_from_slice(&self.triples);
+        Self {
+            dict: self.dict.clone(),
+            triples,
         }
     }
 
@@ -207,6 +222,15 @@ mod tests {
         let t = d.encode("brand", "new", "terms");
         assert_eq!(d.len(), n, "encode must not append");
         assert_eq!(d.dict.term(t.p), "new");
+    }
+
+    #[test]
+    fn clone_with_room_reserves_the_batch() {
+        let d = tiny();
+        let c = d.clone_with_room(50);
+        assert_eq!(c.triples, d.triples);
+        assert_eq!(c.dict.len(), d.dict.len());
+        assert!(c.triples.capacity() >= d.len() + 50);
     }
 
     #[test]

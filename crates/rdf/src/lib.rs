@@ -12,7 +12,8 @@
 //!
 //! This crate provides:
 //!
-//! * [`Dictionary`] — string ↔ [`Id`] interning with O(1) lookups both ways,
+//! * [`Dictionary`] — string ↔ [`Id`] interning, stored as `Arc`-shared
+//!   sealed segments plus a mutable tail so clones share their terms,
 //! * [`Triple`] and the six [`SortOrder`] permutations used by the storage
 //!   schemes (SPO, PSO, ...),
 //! * [`Dataset`] — an in-memory triple bag plus its dictionary,

@@ -51,14 +51,16 @@ const MAGIC: &[u8; 4] = b"SWSN";
 const VERSION: u32 = 1;
 
 /// A decoded (or to-be-encoded) snapshot: the full logical state of the
-/// database at `last_seq`.
+/// database at `last_seq`. [`decode`] yields owned terms; a snapshot to
+/// encode may borrow them (`SnapshotData<&str>`), which writes the same
+/// bytes without copying the dictionary first.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotData {
+pub struct SnapshotData<T = String> {
     /// Highest WAL sequence number whose effects this snapshot contains.
     /// Recovery replays only records with greater sequence numbers.
     pub last_seq: u64,
     /// Dictionary terms in id order (term `i` has id `i`).
-    pub terms: Vec<String>,
+    pub terms: Vec<T>,
     /// Number of triples (the decoded length of each column).
     pub n_triples: u64,
     /// Run-length-encoded s, p and o columns of the SPO-sorted triples.
@@ -99,10 +101,10 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-impl SnapshotData {
+impl<T: AsRef<str>> SnapshotData<T> {
     /// Builds a snapshot from SPO-sorted triple rows, run-length
     /// encoding each column.
-    pub fn from_rows(last_seq: u64, terms: Vec<String>, rows: &[[u64; 3]]) -> Self {
+    pub fn from_rows(last_seq: u64, terms: Vec<T>, rows: &[[u64; 3]]) -> Self {
         let col = |c: usize| {
             let mut runs: Vec<(u64, u64)> = Vec::new();
             for row in rows {
@@ -150,6 +152,7 @@ impl SnapshotData {
         out.extend_from_slice(&self.last_seq.to_le_bytes());
         out.extend_from_slice(&(self.terms.len() as u32).to_le_bytes());
         for t in &self.terms {
+            let t = t.as_ref();
             out.extend_from_slice(&(t.len() as u32).to_le_bytes());
             out.extend_from_slice(t.as_bytes());
         }
@@ -274,9 +277,9 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapshotError> {
 /// protocol described in the module docs. Returns the snapshot's encoded
 /// size in bytes. On any error — injected or real — the previously
 /// published snapshot (if any) is untouched.
-pub fn write_snapshot(
+pub fn write_snapshot<T: AsRef<str>>(
     dir: &Path,
-    snap: &SnapshotData,
+    snap: &SnapshotData<T>,
     faults: &Arc<FaultState>,
     stats: Option<Arc<AtomicIoStats>>,
 ) -> io::Result<u64> {
@@ -426,7 +429,7 @@ mod tests {
             body.extend_from_slice(&crc.to_le_bytes());
             body
         };
-        let snap = SnapshotData::from_rows(7, vec!["a".into()], &[[0, 0, 0]]);
+        let snap = SnapshotData::from_rows(7, vec!["a".to_string()], &[[0, 0, 0]]);
         let mut encoded = snap.encode();
         encoded.truncate(encoded.len() - 4); // drop CRC => raw body
 

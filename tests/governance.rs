@@ -230,8 +230,14 @@ fn concurrent_well_behaved_queries_are_unaffected_by_kills() {
             // compared round by round against an undisturbed twin.
             scope.spawn(move || {
                 let session = db.session().expect("forks");
-                let twin = db.session().expect("forks");
-                let expected = twin.query(CONTROL).expect("twin").into_ids();
+                // The twin is the session's own version answered on the
+                // snapshot's fork: a second `db.session()` could pin a
+                // version the writer published in between.
+                let expected = session
+                    .snapshot()
+                    .query_budgeted(CONTROL, &QueryBudget::unlimited())
+                    .expect("twin")
+                    .into_ids();
                 for round in 0..rounds {
                     assert_eq!(
                         session.query(CONTROL).expect("bystander").into_ids(),
